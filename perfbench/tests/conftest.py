@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+# The benchmark imports xmodal from the checkout's src/, as run.py does.
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
