@@ -8,13 +8,18 @@ handing them in.
 Primitive op kinds:
 
     matmul, add, elementwise_mul, relu_zero_floor, sigmoid, tanh, abs,
-    square, sum, mean, concat_rows, slice_row, gather_rows
+    square, sum, mean, concat_rows, slice_row, gather_rows, order_penalty
 
 gather_rows(m, indices) is equivalent to concat_rows(slice_row(m, i) for i
 in indices) collapsed into a single node; it exists because embedding
 lookups per time step would otherwise dominate the tape.
 
-Subgradient conventions: relu_zero_floor and abs use 0 at the origin.
+order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
+and (M, j) rows as one node; both passes loop over the rows of Y, so neither
+builds an (N, M, j) intermediate.
+
+Subgradient conventions: relu_zero_floor, abs and order_penalty (where
+Y[k, d] == X[i, d]) use 0 at the kink.
 """
 
 from __future__ import annotations
@@ -214,6 +219,26 @@ def _bw_gather_rows(node, g):
     return (out,)
 
 
+def _fw_order_penalty(x, y, meta):
+    out = np.empty((x.shape[0], y.shape[0]))
+    slab = np.empty_like(x)  # reused for every k instead of fresh temporaries
+    for k in range(y.shape[0]):
+        np.maximum(np.subtract(y[k], x, out=slab), 0.0, out=slab)
+        out[:, k] = np.sum(np.square(slab, out=slab), axis=1)
+    return out
+
+
+def _bw_order_penalty(node, g):
+    x, y = (t.data for t in node.inputs)
+    gx = np.zeros_like(x)
+    gy = np.empty_like(y)
+    for k in range(y.shape[0]):
+        r = np.maximum(0.0, y[k] - x)
+        gx -= 2.0 * g[:, k, None] * r
+        gy[k] = 2.0 * g[:, k] @ r
+    return (gx, gy)
+
+
 def _check_matmul(kind, inputs, meta):
     a, b = inputs
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -224,6 +249,12 @@ def _check_elementwise2(kind, inputs, meta):
     a, b = inputs
     if a.shape != b.shape:
         raise _shape_err(kind, inputs, "equal shapes required")
+
+
+def _check_order_penalty(kind, inputs, meta):
+    x, y = inputs
+    if x.data.ndim != 2 or y.data.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise _shape_err(kind, inputs, "expected (N,j) and (M,j)")
 
 
 def _check_any(kind, inputs, meta):
@@ -275,6 +306,7 @@ OP_TABLE: dict[str, tuple] = {
     "concat_rows": (None, _check_concat_rows, _fw_concat_rows, _bw_concat_rows),
     "slice_row": (1, _check_slice_row, _fw_slice_row, _bw_slice_row),
     "gather_rows": (1, _check_gather_rows, _fw_gather_rows, _bw_gather_rows),
+    "order_penalty": (2, _check_order_penalty, _fw_order_penalty, _bw_order_penalty),
 }
 
 
@@ -354,6 +386,10 @@ def slice_row(x: Tensor, row: int) -> Tensor:
 
 def gather_rows(x: Tensor, rows) -> Tensor:
     return forward_op("gather_rows", (x,), rows=np.asarray(rows, dtype=np.int64))
+
+
+def order_penalty(x: Tensor, y: Tensor) -> Tensor:
+    return forward_op("order_penalty", (x, y))
 
 
 def neg(x: Tensor) -> Tensor:

@@ -1,8 +1,8 @@
 """Retrieval evaluation: Recall@K and median rank in both directions.
 
-Galleries are ranked by similarity descending (penalty increasing), ties
-broken by ascending gallery index so results are reproducible. A query with
-several relevant items scores the best (minimum) rank among them.
+Galleries are ranked by similarity descending (penalty increasing); the
+tie rule is stated once, on `best_relevant_ranks`. A query with several
+relevant items scores the best (minimum) rank among them.
 
 Directions follow the usual convention: "sentence retrieval" queries with
 an image against the caption gallery, "image retrieval" queries with a
@@ -37,6 +37,24 @@ class Metrics:
                 f"{self.med_r:7.1f}")
 
 
+def best_relevant_ranks(penalties: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """1-based rank of each query's best relevant gallery item.
+
+    Row q of `penalties` scores query q against the whole gallery; the
+    boolean `relevant` has the same shape and at least one True per row.
+    A gallery is ordered by penalty ascending, ties by ascending gallery
+    index, so the best relevant item g is the one with the lowest penalty,
+    the lowest index among equals, and its rank is
+
+        1 + #(penalty < penalty[g]) + #(penalty == penalty[g] and index < g)
+    """
+    best = np.min(np.where(relevant, penalties, np.inf), axis=1, keepdims=True)
+    tied = penalties == best
+    g_best = np.argmax(relevant & tied, axis=1)[:, None]
+    earlier = np.arange(penalties.shape[1]) < g_best
+    return 1 + np.sum(penalties < best, axis=1) + np.sum(tied & earlier, axis=1)
+
+
 def rank_gallery(query: np.ndarray, gallery: np.ndarray, relevant,
                  direction: str) -> int:
     """1-based rank of the best relevant gallery item for one query.
@@ -54,25 +72,13 @@ def rank_gallery(query: np.ndarray, gallery: np.ndarray, relevant,
         raise ValueError("rank_gallery: relevant index out of range")
     q = np.asarray(query, dtype=np.float64).reshape(1, -1)
     if direction == "text_query":
-        scores = -pairwise_order_penalty(q, gallery)[0]
+        pen = pairwise_order_penalty(q, gallery)
     elif direction == "image_query":
-        scores = -pairwise_order_penalty(gallery, q)[:, 0]
+        pen = pairwise_order_penalty(gallery, q).T
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    order = np.argsort(-scores, kind="stable")  # stable keeps index ties ascending
-    positions = np.empty(len(scores), dtype=np.int64)
-    positions[order] = np.arange(len(scores))
-    return int(positions[relevant].min()) + 1
-
-
-def _ranks_for_scores(scores: np.ndarray, relevant: np.ndarray) -> int:
-    """Rank with the same tie rule, computed by counting (no full sort)."""
-    s_rel = scores[relevant]
-    best = None
-    for g, s in zip(relevant, s_rel):
-        rank = 1 + int(np.sum(scores > s)) + int(np.sum((scores == s) & (np.arange(len(scores)) < g)))
-        best = rank if best is None else min(best, rank)
-    return best
+    mask = np.isin(np.arange(len(gallery)), relevant)[None, :]
+    return int(best_relevant_ranks(pen, mask)[0])
 
 
 def recall_at_k(best_ranks, k: int) -> float:
@@ -108,22 +114,9 @@ def retrieval_ranks(v_txt: np.ndarray, v_img: np.ndarray,
     caption row -> owning image row. Returns (sentence_ranks per image,
     image_ranks per caption).
     """
-    cap_owner = np.asarray(cap_owner, dtype=np.int64)
-    n_caps, n_imgs = len(v_txt), len(v_img)
     penalties = pairwise_order_penalty(v_txt, v_img)  # (n_caps, n_imgs)
-    scores = -penalties
-
-    cap_index = np.arange(n_caps)
-    sentence_ranks = np.empty(n_imgs, dtype=np.int64)
-    for q in range(n_imgs):
-        col = scores[:, q]
-        rel = cap_index[cap_owner == q]
-        sentence_ranks[q] = _ranks_for_scores(col, rel)
-
-    image_ranks = np.empty(n_caps, dtype=np.int64)
-    for c in range(n_caps):
-        image_ranks[c] = _ranks_for_scores(scores[c], np.array([cap_owner[c]]))
-    return sentence_ranks, image_ranks
+    owns = np.asarray(cap_owner)[:, None] == np.arange(len(v_img))
+    return best_relevant_ranks(penalties.T, owns.T), best_relevant_ranks(penalties, owns)
 
 
 def encode_corpus(records, features, vocab: Vocabulary, params: ModelParams,

@@ -7,12 +7,17 @@ scored by how badly the image fails to be dominated by the text:
     score(t, i)   = -penalty(t, i)               (always <= 0)
 
 For a batch of B aligned pairs, every other batch member of the opposite
-modality is a negative. Each positive pair pays a hinge against each
-negative whose score comes within `alpha` of its own, summed over both
-directions (`negative_mode="max"` keeps only the worst negative per
-direction instead). An optional variance bonus on negative embeddings is
-subtracted with weight `lambda_var`; it is off by default because it makes
-the objective unbounded below.
+modality is a negative. With P = pairwise_order_penalty(texts, images) and
+d = diag(P), caption r is a negative for image i with hinge
+max(0, alpha - P[r, i] + d[i]) and image k one for caption i with
+max(0, alpha - P[i, k] + d[i]); the loss sums both (B, B) hinge matrices
+off the diagonal. `negative_mode="max"` keeps only the largest hinge per
+positive and direction, ties going to the lowest batch index. Each negative
+so paid for also earns a variance bonus, subtracted with weight
+`lambda_var`: the variance of its own components, or with
+`variance_scope="batch"` the mean per-component variance of its whole
+modality batch. It is off by default because it makes the objective
+unbounded below.
 """
 
 from __future__ import annotations
@@ -44,17 +49,12 @@ class LossConfig:
             raise ValueError(f"variance_scope must be one of {VARIANCE_SCOPES}")
 
 
-def _as_vector_pair(x, y, what):
+def order_penalty(x, y) -> float:
+    """Squared norm of the positive part of y - x."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
-        raise ShapeError(f"{what}: shapes {x.shape} and {y.shape} differ")
-    return x, y
-
-
-def order_penalty(x, y) -> float:
-    """Squared norm of the positive part of y - x."""
-    x, y = _as_vector_pair(x, y, "order_penalty")
+        raise ShapeError(f"order_penalty: shapes {x.shape} and {y.shape} differ")
     return float(np.sum(np.maximum(0.0, y - x) ** 2))
 
 
@@ -79,10 +79,7 @@ def pairwise_order_penalty(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray
         raise ShapeError(
             f"pairwise_order_penalty: shapes {x.shape} and {y.shape} incompatible"
         )
-    out = np.empty((x.shape[0], y.shape[0]))
-    for k in range(y.shape[0]):
-        out[:, k] = np.sum(np.maximum(0.0, y[k] - x) ** 2, axis=1)
-    return out
+    return ad.order_penalty(Tensor.const(x), Tensor.const(y)).data
 
 
 def similarity_matrix(v_txt_rows: np.ndarray, v_img_rows: np.ndarray) -> np.ndarray:
@@ -90,18 +87,28 @@ def similarity_matrix(v_txt_rows: np.ndarray, v_img_rows: np.ndarray) -> np.ndar
     return -pairwise_order_penalty(v_txt_rows, v_img_rows)
 
 
-def _row_variance(row: Tensor) -> Tensor:
-    """Differentiable population variance of a (1, j) row: E[x^2] - E[x]^2."""
-    return ad.sub(ad.reduce_mean(ad.square(row)), ad.square(ad.reduce_mean(row)))
+def _row_variances(rows: Tensor) -> Tensor:
+    """(n, 1) population variance of each row's components: E[x^2] - E[x]^2."""
+    avg = Tensor.const(np.full((rows.shape[1], 1), 1.0 / rows.shape[1]))
+    return ad.sub(ad.matmul(ad.square(rows), avg), ad.square(ad.matmul(rows, avg)))
 
 
 def _batch_variance(rows: Tensor) -> Tensor:
     """Mean over components of the per-component variance across the batch."""
-    n = rows.shape[0]
-    avg = Tensor.const(np.full((1, n), 1.0 / n))
+    avg = Tensor.const(np.full((1, rows.shape[0]), 1.0 / rows.shape[0]))
     col_mean = ad.matmul(avg, rows)                  # (1, j)
     col_mean_sq = ad.matmul(avg, ad.square(rows))    # (1, j)
     return ad.reduce_mean(ad.sub(col_mean_sq, ad.square(col_mean)))
+
+
+def _hardest(hinges: np.ndarray, axis: int) -> np.ndarray:
+    """One-hot weights picking the largest negative's hinge along `axis`."""
+    vals = hinges.copy()
+    np.fill_diagonal(vals, -1.0)  # never pick the positive itself
+    pick = np.argmax(vals, axis=axis)  # ties: lowest index
+    weights = np.zeros_like(vals)
+    np.put_along_axis(weights, np.expand_dims(pick, axis), 1.0, axis=axis)
+    return weights
 
 
 def batch_loss(v_txt: Tensor, v_img: Tensor, cfg: LossConfig) -> Tensor:
@@ -114,71 +121,32 @@ def batch_loss(v_txt: Tensor, v_img: Tensor, cfg: LossConfig) -> Tensor:
         raise ShapeError(
             f"batch_loss: batches {v_txt.shape} and {v_img.shape} must be equal (B, j)"
         )
-    n, j = v_txt.shape
+    n = v_txt.shape[0]
     if n < 2:
         raise ValueError("batch_loss: need B >= 2 to form negatives")
 
-    ones_col = Tensor.const(np.ones((n, 1)))
-    ones_j = Tensor.const(np.ones((j, 1)))
-    alpha_col = Tensor.const(np.full((n, 1), cfg.alpha))
+    pen = ad.order_penalty(v_txt, v_img)                 # P[r, k]
+    ones = Tensor.const(np.ones((n, n)))
+    diag = ad.mul(pen, Tensor.const(np.eye(n)))
+    margin = ad.sub(Tensor.const(np.full((n, n), cfg.alpha)), pen)
+    hinge_txt = ad.relu(ad.add(margin, ad.matmul(ones, diag)))  # + P[i, i] on column i
+    hinge_img = ad.relu(ad.add(margin, ad.matmul(diag, ones)))  # + P[i, i] on row i
 
-    use_var = cfg.lambda_var != 0.0
-    if use_var and cfg.variance_scope == "components":
-        var_txt = [_row_variance(ad.slice_row(v_txt, i)) for i in range(n)]
-        var_img = [_row_variance(ad.slice_row(v_img, i)) for i in range(n)]
-    elif use_var:
-        batch_var_txt = _batch_variance(v_txt)
-        batch_var_img = _batch_variance(v_img)
+    if cfg.negative_mode == "sum":
+        w_txt = w_img = 1.0 - np.eye(n)
+    else:
+        w_txt = _hardest(hinge_txt.data, axis=0)
+        w_img = _hardest(hinge_img.data, axis=1)
+    total = ad.reduce_sum(ad.add(ad.mul(hinge_txt, Tensor.const(w_txt)),
+                                 ad.mul(hinge_img, Tensor.const(w_img))))
 
-    terms: list[Tensor] = []
-    for i in range(n):
-        txt_i = ad.slice_row(v_txt, i)
-        img_i = ad.slice_row(v_img, i)
-        # column i of the similarity matrix: S(T_r, I_i) for every text r
-        img_i_rows = ad.matmul(ones_col, img_i)
-        col = ad.neg(ad.matmul(ad.square(ad.relu(ad.sub(img_i_rows, v_txt))), ones_j))
-        # row i: S(T_i, I_k) for every image k
-        txt_i_rows = ad.matmul(ones_col, txt_i)
-        row = ad.neg(ad.matmul(ad.square(ad.relu(ad.sub(v_img, txt_i_rows))), ones_j))
-
-        s_ii = ad.slice_row(col, i)                       # (1, 1)
-        s_ii_col = ad.matmul(ones_col, s_ii)
-        hinge_txt = ad.relu(ad.add(alpha_col, ad.sub(col, s_ii_col)))
-        hinge_img = ad.relu(ad.add(alpha_col, ad.sub(row, s_ii_col)))
-
-        mask = np.ones((n, 1)); mask[i] = 0.0
-        mask_t = Tensor.const(mask)
-
-        if cfg.negative_mode == "sum":
-            terms.append(ad.reduce_sum(ad.mul(hinge_txt, mask_t)))
-            terms.append(ad.reduce_sum(ad.mul(hinge_img, mask_t)))
-            if use_var:
-                lam = Tensor.const(-cfg.lambda_var)
-                if cfg.variance_scope == "components":
-                    for r in range(n):
-                        if r == i:
-                            continue
-                        terms.append(ad.mul(lam, var_txt[r]))
-                        terms.append(ad.mul(lam, var_img[r]))
-                else:
-                    lam_nm1 = Tensor.const(-cfg.lambda_var * (n - 1))
-                    terms.append(ad.mul(lam_nm1, batch_var_txt))
-                    terms.append(ad.mul(lam_nm1, batch_var_img))
-        else:
-            for modality, hinge in (("txt", hinge_txt), ("img", hinge_img)):
-                vals = hinge.data[:, 0].copy()
-                vals[i] = -1.0  # never pick the positive itself
-                pick = int(np.argmax(vals))  # ties: lowest gallery index
-                terms.append(ad.reduce_sum(ad.slice_row(hinge, pick)))
-                if use_var:
-                    lam = Tensor.const(-cfg.lambda_var)
-                    if cfg.variance_scope == "components":
-                        chosen = var_txt[pick] if modality == "txt" else var_img[pick]
-                    else:
-                        chosen = batch_var_txt if modality == "txt" else batch_var_img
-                    terms.append(ad.mul(lam, chosen))
-
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
+    if cfg.lambda_var != 0.0:
+        for rows, counts in ((v_txt, w_txt.sum(axis=1)), (v_img, w_img.sum(axis=0))):
+            if cfg.variance_scope == "components":
+                weights = Tensor.const(-cfg.lambda_var * counts[None, :])
+                bonus = ad.reduce_sum(ad.matmul(weights, _row_variances(rows)))
+            else:
+                weight = Tensor.const(-cfg.lambda_var * counts.sum())
+                bonus = ad.mul(weight, _batch_variance(rows))
+            total = ad.add(total, bonus)
     return total

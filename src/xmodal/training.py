@@ -37,7 +37,7 @@ BATCH_INIT_DEFAULT = 16
 
 
 class NumericsError(RuntimeError):
-    """A gradient went non-finite; the run must abort."""
+    """A loss or gradient went non-finite; the run must abort."""
 
 
 @dataclass
@@ -189,6 +189,8 @@ def _batch_step(token_ids, feats, params: ModelParams, cfg: TrainConfig,
     v_txt = encode_text_batch(token_ids, tracked)
     v_img = encode_image_batch(feats, tracked, cfg.image_activation)
     loss_t = batch_loss(v_txt, v_img, cfg.loss)
+    if not np.isfinite(loss_t.data):
+        raise NumericsError(f"non-finite batch loss {float(loss_t.data)!r}")
     grads_by_node = ad.backward(tape, loss_t)
     grads = {name: grads_by_node[leaf.node_id] for name, leaf in tracked.items()}
     new_tensors = adam_step(params.tensors, grads, adam, lr)

@@ -71,6 +71,8 @@ class TestForwardValues:
             ad.matmul(a, b)
         with pytest.raises(ShapeError, match="add"):
             ad.add(a, b)
+        with pytest.raises(ShapeError, match=r"order_penalty.*\(2, 3\).*\(4, 5\)"):
+            ad.order_penalty(a, b)
 
     def test_concat_and_slice(self):
         a = Tensor.const([[1.0, 2.0]])
@@ -161,6 +163,11 @@ def _op_point(kind, rng):
         return [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]
     if kind in ("relu_zero_floor", "abs"):
         return [_away_from_zero(rng, (2, 3))]
+    if kind == "order_penalty":
+        while True:  # every y[k] - x[i] component away from the kink at 0
+            x, y = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+            if np.abs(y[None, :, :] - x[:, None, :]).min() > 0.05:
+                return [x, y]
     return [rng.normal(size=(2, 3))]
 
 

@@ -8,6 +8,7 @@ from scipy import stats
 
 from xmodal.evaluation import (
     Metrics,
+    best_relevant_ranks,
     evaluate_embeddings,
     format_table,
     median_rank,
@@ -56,6 +57,12 @@ class TestRankGallery:
                 want = brute_force_rank(scores, set(relevant.tolist()))
                 got = rank_gallery(query, gallery, relevant, direction)
                 assert got == want
+
+    def test_infinite_penalties_still_rank_by_index(self):
+        # the relevant item ties an irrelevant one at an infinite penalty
+        pen = np.array([[1.0, np.inf, np.inf]])
+        relevant = np.array([[False, False, True]])
+        assert best_relevant_ranks(pen, relevant)[0] == brute_force_rank(-pen[0], {2})
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError, match="relevant"):
@@ -164,6 +171,23 @@ class TestProtocols:
         v_img, v_txt, owner = self._perfect_corpus(4, 2)
         s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
         assert np.all(s_ranks == 1) and np.all(i_ranks == 1)
+
+    def test_tie_heavy_ranks_match_brute_force(self):
+        # coarse embeddings put many captions and images at equal penalties
+        rng = np.random.default_rng(4)
+        n_imgs, caps_per = 12, 5
+        v_img = np.round(rng.uniform(0, 0.5, (n_imgs, 3)), 1)
+        v_txt = np.round(rng.uniform(0, 0.5, (n_imgs * caps_per, 3)), 1)
+        owner = np.repeat(np.arange(n_imgs), caps_per)
+        s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
+        for q in range(n_imgs):
+            scores = [-order_penalty(t, v_img[q]) for t in v_txt]
+            relevant = set(np.flatnonzero(owner == q).tolist())
+            assert s_ranks[q] == brute_force_rank(scores, relevant)
+        for c in range(len(v_txt)):
+            scores = [-order_penalty(v_txt[c], im) for im in v_img]
+            assert i_ranks[c] == brute_force_rank(scores, {int(owner[c])})
+        assert len(set(s_ranks.tolist())) > 1 and len(set(i_ranks.tolist())) > 1
 
     def test_folds_partition_and_mean(self):
         rng = np.random.default_rng(3)

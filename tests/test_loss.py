@@ -19,20 +19,46 @@ from xmodal.loss import (
 )
 
 
-def brute_force_loss(v_txt, v_img, alpha, negative_mode="sum"):
-    """Independent triplet enumeration using scalar penalties only."""
+def _hardest(hinges):
+    """(index, value) of the largest hinge; ties go to the lowest index."""
+    best = max(h for _, h in hinges)
+    return next((r, h) for r, h in hinges if h == best)
+
+
+def _batch_variance_oracle(rows):
+    """Mean over components of each component's population variance."""
+    rows = np.asarray(rows)
+    return sum(variance_term(rows[:, d]) for d in range(rows.shape[1])) / rows.shape[1]
+
+
+def brute_force_loss(v_txt, v_img, alpha, negative_mode="sum", lambda_var=0.0,
+                     variance_scope="components"):
+    """Independent triplet enumeration using scalar penalties only.
+
+    Every negative a positive pays for also earns the variance bonus of its
+    embedding (`components`) or of its whole modality batch (`batch`).
+    """
     n = len(v_txt)
+
+    def bonus(rows, r):
+        if variance_scope == "components":
+            return lambda_var * variance_term(rows[r])
+        return lambda_var * _batch_variance_oracle(rows)
+
     total = 0.0
     for i in range(n):
         s_ii = similarity(v_txt[i], v_img[i])
-        txt_hinges = [max(0.0, alpha - s_ii + similarity(v_txt[r], v_img[i]))
+        txt_hinges = [(r, max(0.0, alpha - s_ii + similarity(v_txt[r], v_img[i])))
                       for r in range(n) if r != i]
-        img_hinges = [max(0.0, alpha - s_ii + similarity(v_txt[i], v_img[k]))
+        img_hinges = [(k, max(0.0, alpha - s_ii + similarity(v_txt[i], v_img[k])))
                       for k in range(n) if k != i]
-        if negative_mode == "sum":
-            total += sum(txt_hinges) + sum(img_hinges)
-        else:
-            total += max(txt_hinges) + max(img_hinges)
+        if negative_mode == "max":
+            txt_hinges = [_hardest(txt_hinges)]
+            img_hinges = [_hardest(img_hinges)]
+        for r, h in txt_hinges:
+            total += h - bonus(v_txt, r)
+        for k, h in img_hinges:
+            total += h - bonus(v_img, k)
     return total
 
 
@@ -246,16 +272,47 @@ class TestBatchLoss:
                     want -= lam * (variance_term(txt[r]) + variance_term(img[r]))
         assert with_var == pytest.approx(want, abs=1e-12)
 
-    def test_variance_gradients_match_fd(self):
+    @pytest.mark.parametrize("scope", ["components", "batch"])
+    @pytest.mark.parametrize("mode", ["sum", "max"])
+    def test_variance_gradients_match_fd(self, mode, scope):
         rng = np.random.default_rng(11)
         alpha = 0.25
         txt, img = TestBatchLoss._kink_free_batch(self, rng, 3, 5, alpha)
-        cfg = LossConfig(alpha=alpha, lambda_var=0.05)
+        cfg = LossConfig(alpha=alpha, lambda_var=0.05, negative_mode=mode,
+                         variance_scope=scope)
 
         def build(a, b):
             return batch_loss(a, b, cfg)
 
         assert ad.finite_diff_check(build, [txt, img], 1e-5) < 1e-4
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("scope", ["components", "batch"])
+    @pytest.mark.parametrize("mode", ["sum", "max"])
+    def test_variance_bonus_matches_brute_force(self, n, scope, mode):
+        rng = np.random.default_rng(200 + 10 * n)
+        for _ in range(3):
+            t, v_txt, v_img = make_batch(rng, n, 4)
+            cfg = LossConfig(alpha=0.25, lambda_var=0.05, negative_mode=mode,
+                             variance_scope=scope)
+            out = batch_loss(v_txt, v_img, cfg)
+            want = brute_force_loss(v_txt.data, v_img.data, 0.25, mode, 0.05, scope)
+            assert float(out.data) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("lambda_var,scope", [(0.0, "components"),
+                                                  (0.05, "components"),
+                                                  (0.05, "batch")])
+    @pytest.mark.parametrize("mode", ["sum", "max"])
+    def test_tape_size_does_not_grow_with_batch(self, mode, lambda_var, scope):
+        cfg = LossConfig(alpha=0.2, lambda_var=lambda_var, negative_mode=mode,
+                         variance_scope=scope)
+        sizes = []
+        for n in (4, 64):
+            t, v_txt, v_img = make_batch(np.random.default_rng(n), n, 6)
+            before = len(t.nodes)
+            batch_loss(v_txt, v_img, cfg)
+            sizes.append(len(t.nodes) - before)
+        assert sizes[0] == sizes[1]
 
     def test_batch_variance_scope_runs_and_differs(self):
         rng = np.random.default_rng(12)

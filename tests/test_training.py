@@ -221,6 +221,15 @@ class TestTrainLoop:
             assert set(entry) == {"epoch", "loss", "lr", "batch_size",
                                   "val_r1_sent", "val_r1_img", "wall_ms"}
 
+    def test_non_finite_loss_aborts(self, small_training_setup):
+        # overflowing image embeddings give a nan loss before any gradient
+        data, cfg = small_training_setup
+        params = ModelParams.init(cfg.dims, np.random.default_rng(1))
+        tensors = dict(params.tensors)
+        tensors["image.w2"] = tensors["image.w2"] * 1e160
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="loss"):
+            train(data, params.with_tensors(tensors), cfg)
+
     def test_tail_batch_of_one_dropped(self):
         # 5 pairs with batch 2 leaves a tail of 1, which must be skipped
         rng = np.random.default_rng(3)
