@@ -7,12 +7,17 @@ handing them in.
 
 Primitive op kinds:
 
-    matmul, add, elementwise_mul, relu_zero_floor, sigmoid, tanh, abs,
-    square, sum, mean, concat_rows, slice_row, gather_rows, order_penalty
+    matmul, add, elementwise_mul, relu_zero_floor, abs, square, sum, mean,
+    order_penalty, lstm
 
-gather_rows(m, indices) is equivalent to concat_rows(slice_row(m, i) for i
-in indices) collapsed into a single node; it exists because embedding
-lookups per time step would otherwise dominate the tape.
+lstm(E, weights, ids) is a whole single-layer LSTM as one node: the inputs
+are the embedding E and w, u, b of each gate, meta["ids"] the (B, L) token
+rows. The scan runs time-major from zero state, looks up step t's rows of
+E inside the loop and keeps only the current (h, c), so a tape-free forward
+over many captions holds no (B, L, e) input or per-step activations. Its
+output is the last h. The VJP reruns the scan, keeping gates and states
+for that one backward call only, then runs backpropagation through time;
+the weight gradients are one GEMM or sum each over the stacked steps.
 
 order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
 and (M, j) rows as one node; both passes loop over the rows of Y, so neither
@@ -128,30 +133,6 @@ def _bw_relu(node, g):
     return (g * (node.inputs[0].data > 0.0),)
 
 
-def _fw_sigmoid(x, meta):
-    # Split by sign to stay overflow-free for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _bw_sigmoid(node, g):
-    y = node.output.data
-    return (g * y * (1.0 - y),)
-
-
-def _fw_tanh(x, meta):
-    return np.tanh(x)
-
-
-def _bw_tanh(node, g):
-    y = node.output.data
-    return (g * (1.0 - y * y),)
-
-
 def _fw_abs(x, meta):
     return np.abs(x)
 
@@ -186,39 +167,6 @@ def _bw_mean(node, g):
     return (np.full(x.shape, float(g) / x.size),)
 
 
-def _fw_concat_rows(*xs, meta):
-    return np.concatenate(xs, axis=0)
-
-
-def _bw_concat_rows(node, g):
-    splits = np.cumsum([t.data.shape[0] for t in node.inputs])[:-1]
-    return tuple(np.split(g, splits, axis=0))
-
-
-def _fw_slice_row(x, meta):
-    i = meta["row"]
-    return x[i : i + 1]
-
-
-def _bw_slice_row(node, g):
-    x = node.inputs[0].data
-    out = np.zeros_like(x)
-    i = node.meta["row"]
-    out[i : i + 1] = g
-    return (out,)
-
-
-def _fw_gather_rows(x, meta):
-    return x[meta["rows"]]
-
-
-def _bw_gather_rows(node, g):
-    x = node.inputs[0].data
-    out = np.zeros_like(x)
-    np.add.at(out, node.meta["rows"], g)
-    return (out,)
-
-
 def _fw_order_penalty(x, y, meta):
     out = np.empty((x.shape[0], y.shape[0]))
     slab = np.empty_like(x)  # reused for every k instead of fresh temporaries
@@ -237,6 +185,83 @@ def _bw_order_penalty(node, g):
         gx -= 2.0 * g[:, k, None] * r
         gy[k] = 2.0 * g[:, k] @ r
     return (gx, gy)
+
+
+def _fw_sigmoid(x):
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never overflows.
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+
+
+def _lstm_steps(emb, weights, ids):
+    """Yield each step's activated gates (i, f, g, o) and new state (c, h).
+
+    `weights` is w_i..w_o, u_i..u_o, b_i..b_o; step t reads the rows
+    ids[:, t] of `emb` and starts from zero state. Each gate is its own
+    x @ w + h @ u + b, so the values match a per-gate graph bit for bit.
+    """
+    ws, us, bs = weights[0:4], weights[4:8], weights[8:12]
+    h = c = np.zeros((ids.shape[0], us[0].shape[0]))
+    for t in range(ids.shape[1]):
+        x = emb[ids[:, t]]
+        zi, zf, zg, zo = (x @ w + h @ u + b for w, u, b in zip(ws, us, bs))
+        i, f, g, o = _fw_sigmoid(zi), _fw_sigmoid(zf), np.tanh(zg), _fw_sigmoid(zo)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        yield i, f, g, o, c, h
+
+
+def _fw_lstm(emb, *weights, meta):
+    ids = meta["ids"]
+    h = np.zeros((ids.shape[0], weights[4].shape[0]))
+    for *_, h in _lstm_steps(emb, weights, ids):
+        pass
+    return h
+
+
+def _bw_lstm(node, g):
+    emb, *weights = (t.data for t in node.inputs)
+    ids = node.meta["ids"]
+    n, steps = ids.shape
+    hid = weights[4].shape[0]
+    # Rerun the scan, keeping per step the gates, the cell state and the
+    # hidden state the step started from.
+    gates = np.empty((steps, n, 4 * hid))
+    cells = np.zeros((steps + 1, n, hid))
+    h_prev = np.zeros((steps, n, hid))
+    for t, (i, f, gg, o, c, h) in enumerate(_lstm_steps(emb, weights, ids)):
+        gates[t] = np.concatenate((i, f, gg, o), axis=1)
+        cells[t + 1] = c
+        if t + 1 < steps:
+            h_prev[t + 1] = h
+    w_all = np.concatenate(weights[0:4], axis=1)  # (e, 4h)
+    u_all = np.concatenate(weights[4:8], axis=1)  # (h, 4h)
+    # Backpropagation through time: dz[t] is the gradient of step t's four
+    # gate preactivations, side by side in gate order.
+    dz = np.empty_like(gates)
+    dh, dc = g, np.zeros((n, hid))
+    for t in reversed(range(steps)):
+        i, f, gg, o = np.split(gates[t], 4, axis=1)
+        tc = np.tanh(cells[t + 1])
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz[t] = np.concatenate((
+            dc * gg * i * (1.0 - i),
+            dc * cells[t] * f * (1.0 - f),
+            dc * i * (1.0 - gg * gg),
+            dh * tc * o * (1.0 - o),
+        ), axis=1)
+        dc = dc * f
+        dh = dz[t] @ u_all.T
+    # Weight gradients sum over all steps at once, as one GEMM each.
+    dz = dz.reshape(steps * n, 4 * hid)
+    rows = ids.T.reshape(-1)  # time-major, like dz
+    d_emb = np.zeros_like(emb)
+    np.add.at(d_emb, rows, dz @ w_all.T)
+    d_w = emb[rows].T @ dz
+    d_u = h_prev.reshape(steps * n, hid).T @ dz
+    d_b = dz.sum(axis=0, keepdims=True)
+    return (d_emb, *np.split(d_w, 4, axis=1), *np.split(d_u, 4, axis=1),
+            *np.split(d_b, 4, axis=1))
 
 
 def _check_matmul(kind, inputs, meta):
@@ -261,52 +286,34 @@ def _check_any(kind, inputs, meta):
     pass
 
 
-def _check_concat_rows(kind, inputs, meta):
-    if not inputs:
-        raise ShapeError(f"{kind}: needs at least one input")
-    cols = {t.data.shape[1] if t.data.ndim == 2 else -1 for t in inputs}
-    if -1 in cols or len(cols) != 1:
-        raise _shape_err(kind, inputs, "rank-2 inputs with equal column counts")
+def _check_lstm(kind, inputs, meta):
+    emb, weights = inputs[0], inputs[1:]
+    if emb.data.ndim != 2 or weights[4].data.ndim != 2:
+        raise _shape_err(kind, inputs, "rank-2 embedding and weights required")
+    e, hid = emb.shape[1], weights[4].shape[0]
+    want = [(e, hid)] * 4 + [(hid, hid)] * 4 + [(1, hid)] * 4
+    if [w.shape for w in weights] != want:
+        raise _shape_err(kind, inputs, "expected embedding (V,e), then w (e,h), "
+                                       "u (h,h) and b (1,h) for gates i f g o")
+    ids = np.asarray(meta.get("ids"))
+    if ids.ndim != 2 or not np.issubdtype(ids.dtype, np.integer):
+        raise ShapeError(f"{kind}: token ids must be integer (B, L), got {ids.shape}")
+    if ids.min(initial=0) < 0 or ids.max(initial=0) >= emb.shape[0]:
+        raise ShapeError(f"{kind}: token index out of range [0, {emb.shape[0]})")
 
 
-def _check_slice_row(kind, inputs, meta):
-    (x,) = inputs
-    i = meta.get("row")
-    if x.data.ndim != 2:
-        raise _shape_err(kind, inputs, "rank-2 input required")
-    if not isinstance(i, (int, np.integer)) or not (0 <= i < x.shape[0]):
-        raise ShapeError(f"{kind}: row {i} out of range for shape {x.shape}")
-
-
-def _check_gather_rows(kind, inputs, meta):
-    (x,) = inputs
-    if x.data.ndim != 2:
-        raise _shape_err(kind, inputs, "rank-2 input required")
-    rows = np.asarray(meta.get("rows"))
-    if rows.ndim != 1 or rows.size == 0:
-        raise ShapeError(f"{kind}: indices must be a non-empty 1-d sequence")
-    if rows.min() < 0 or rows.max() >= x.shape[0]:
-        raise ShapeError(
-            f"{kind}: index out of range [0, {x.shape[0]}) for shape {x.shape}"
-        )
-
-
-# kind -> (arity or None for variadic, shape check, forward, backward)
+# kind -> (arity, shape check, forward, backward)
 OP_TABLE: dict[str, tuple] = {
     "matmul": (2, _check_matmul, _fw_matmul, _bw_matmul),
     "add": (2, _check_elementwise2, _fw_add, _bw_add),
     "elementwise_mul": (2, _check_elementwise2, _fw_mul, _bw_mul),
     "relu_zero_floor": (1, _check_any, _fw_relu, _bw_relu),
-    "sigmoid": (1, _check_any, _fw_sigmoid, _bw_sigmoid),
-    "tanh": (1, _check_any, _fw_tanh, _bw_tanh),
     "abs": (1, _check_any, _fw_abs, _bw_abs),
     "square": (1, _check_any, _fw_square, _bw_square),
     "sum": (1, _check_any, _fw_sum, _bw_sum),
     "mean": (1, _check_any, _fw_mean, _bw_mean),
-    "concat_rows": (None, _check_concat_rows, _fw_concat_rows, _bw_concat_rows),
-    "slice_row": (1, _check_slice_row, _fw_slice_row, _bw_slice_row),
-    "gather_rows": (1, _check_gather_rows, _fw_gather_rows, _bw_gather_rows),
     "order_penalty": (2, _check_order_penalty, _fw_order_penalty, _bw_order_penalty),
+    "lstm": (13, _check_lstm, _fw_lstm, _bw_lstm),
 }
 
 
@@ -316,7 +323,7 @@ def forward_op(kind: str, inputs: Sequence[Tensor], **meta) -> Tensor:
         raise ValueError(f"unknown op kind: {kind!r}")
     arity, check, fw, _ = OP_TABLE[kind]
     inputs = tuple(inputs)
-    if arity is not None and len(inputs) != arity:
+    if len(inputs) != arity:
         raise ShapeError(f"{kind}: expected {arity} inputs, got {len(inputs)}")
     check(kind, inputs, meta)
 
@@ -324,12 +331,7 @@ def forward_op(kind: str, inputs: Sequence[Tensor], **meta) -> Tensor:
     if len(tapes) > 1:
         raise ValueError(f"{kind}: inputs belong to different tapes")
 
-    if kind == "concat_rows":
-        out_data = fw(*(t.data for t in inputs), meta=meta)
-    elif arity == 1:
-        out_data = fw(inputs[0].data, meta=meta)
-    else:
-        out_data = fw(inputs[0].data, inputs[1].data, meta=meta)
+    out_data = fw(*(t.data for t in inputs), meta=meta)
 
     if tapes:
         return next(iter(tapes))._record(kind, inputs, out_data, meta)
@@ -352,14 +354,6 @@ def relu(x: Tensor) -> Tensor:
     return forward_op("relu_zero_floor", (x,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return forward_op("sigmoid", (x,))
-
-
-def tanh(x: Tensor) -> Tensor:
-    return forward_op("tanh", (x,))
-
-
 def absolute(x: Tensor) -> Tensor:
     return forward_op("abs", (x,))
 
@@ -376,20 +370,16 @@ def reduce_mean(x: Tensor) -> Tensor:
     return forward_op("mean", (x,))
 
 
-def concat_rows(xs: Sequence[Tensor]) -> Tensor:
-    return forward_op("concat_rows", tuple(xs))
-
-
-def slice_row(x: Tensor, row: int) -> Tensor:
-    return forward_op("slice_row", (x,), row=int(row))
-
-
-def gather_rows(x: Tensor, rows) -> Tensor:
-    return forward_op("gather_rows", (x,), rows=np.asarray(rows, dtype=np.int64))
-
-
 def order_penalty(x: Tensor, y: Tensor) -> Tensor:
     return forward_op("order_penalty", (x, y))
+
+
+def lstm(embedding: Tensor, weights: Sequence[Tensor], ids) -> Tensor:
+    """Last hidden state of an LSTM over the (B, L) rows `ids` of `embedding`.
+
+    `weights` is w_i, w_f, w_g, w_o, then the u and then the b of each gate.
+    """
+    return forward_op("lstm", (embedding, *weights), ids=np.asarray(ids, dtype=np.int64))
 
 
 def neg(x: Tensor) -> Tensor:

@@ -222,6 +222,12 @@ class Checkpoint:
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], step: int, lr: float,
                     batch_size: int, phase: int) -> None:
+    # Checked before open() so that a bad counter leaves an existing file intact.
+    for name, value, bits in (("step", step, 64), ("batch_size", batch_size, 32),
+                              ("phase", phase, 8)):
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"checkpoint {name}={value} does not fit in u{bits}")
+    counters = struct.pack("<QdIB", step, lr, batch_size, phase)
     with open(path, "wb") as f:
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
         for name, arr in tensors.items():
@@ -232,7 +238,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], step: int, lr: float,
             f.write(struct.pack("<B", a.ndim))
             f.write(struct.pack(f"<{a.ndim}I", *a.shape))
             f.write(a.astype("<f8").tobytes())
-        f.write(struct.pack("<QdIB", step, lr, batch_size, phase))
+        f.write(counters)
 
 
 def load_checkpoint(path) -> Checkpoint:

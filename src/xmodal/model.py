@@ -1,8 +1,10 @@
 """Two-branch encoders into the shared non-negative embedding space.
 
-Text: embedding lookup, a single-layer LSTM with forget gate run over all L
-positions (padding included, no masking), last hidden state, elementwise
-absolute value. The LSTM hidden size equals the joint dimension, so the
+Text: a single-layer LSTM with forget gate over the embedded tokens, run
+over all L positions (padding included, no masking), then elementwise
+absolute value of its last hidden state. The lookup and the recurrence are
+the one `autodiff.lstm` op, so the branch is two tape nodes at any batch
+size and length. The LSTM hidden size equals the joint dimension, so the
 text branch needs no projection.
 
 Image: two affine layers on a precomputed feature vector with a zero-floor
@@ -126,49 +128,14 @@ def _bias_rows(bias: Tensor, n: int) -> Tensor:
     return ad.matmul(Tensor.const(np.ones((n, 1))), bias)
 
 
-def lstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
-              p: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """One LSTM step on a batch of rows: returns (h_t, c_t).
-
-    i, f, o gates are sigmoids, the candidate g is a tanh;
-    c_t = f*c_prev + i*g and h_t = o*tanh(c_t).
-    """
-    n = x_t.shape[0]
-    pre = {}
-    for gate in GATES:
-        z = ad.add(ad.matmul(x_t, p[f"lstm.w_{gate}"]),
-                   ad.matmul(h_prev, p[f"lstm.u_{gate}"]))
-        pre[gate] = ad.add(z, _bias_rows(p[f"lstm.b_{gate}"], n))
-    gate_i = ad.sigmoid(pre["i"])
-    gate_f = ad.sigmoid(pre["f"])
-    gate_o = ad.sigmoid(pre["o"])
-    cand = ad.tanh(pre["g"])
-    c_t = ad.add(ad.mul(gate_f, c_prev), ad.mul(gate_i, cand))
-    h_t = ad.mul(gate_o, ad.tanh(c_t))
-    return h_t, c_t
-
-
 def encode_text_batch(token_ids: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     """Encode (B, L) padded index rows to (B, j) non-negative embeddings.
 
     All L positions run through the LSTM; only the final hidden state is
     kept, projected by elementwise absolute value.
     """
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 2:
-        raise ad.ShapeError(f"encode_text: token ids must be (B, L), got {ids.shape}")
-    n, seq_len = ids.shape
-    emb = p["embedding"]
-    if ids.min(initial=0) < 0 or ids.max(initial=0) >= emb.shape[0]:
-        raise ad.ShapeError(
-            f"encode_text: token index out of range [0, {emb.shape[0]})"
-        )
-    h = Tensor.const(np.zeros((n, p["lstm.u_i"].shape[0])))
-    c = h
-    for t in range(seq_len):
-        x_t = ad.gather_rows(emb, ids[:, t])
-        h, c = lstm_step(x_t, h, c, p)
-    return ad.absolute(h)
+    weights = [p[f"lstm.{kind}_{gate}"] for kind in "wub" for gate in GATES]
+    return ad.absolute(ad.lstm(p["embedding"], weights, token_ids))
 
 
 def encode_image_batch(feats: np.ndarray | Tensor, p: dict[str, Tensor],

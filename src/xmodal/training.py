@@ -202,6 +202,8 @@ def train(data: TrainingData, params: ModelParams, cfg: TrainConfig,
     """Run the full schedule; returns trained parameters and the epoch log."""
     if cfg.batch_size < 2:
         raise ValueError("batch_size must be >= 2")
+    if cfg.max_epochs < 1:
+        raise ValueError("max_epochs must be >= 1")
     adam = AdamState.zeros_like(params.tensors, cfg.adam_beta1, cfg.adam_beta2,
                                 cfg.adam_eps)
     schedule = ScheduleState(
@@ -355,15 +357,11 @@ def grid_search(grid: dict[str, list], data: TrainingData, base_cfg: TrainConfig
         seed = init_rng_seed if init_rng_seed is not None else cfg.seed
         params = ModelParams.init(
             cfg.dims, np.random.default_rng(np.random.SeedSequence([seed, 0])))
-        result = train(data, params, cfg)
-        val = data.val_records if data.val_records is not None else data.records
-        reports = evaluate_records(val, data.features, data.vocab, result.params,
-                                   cfg.seq_len, "full_5k", cfg.image_activation)
-        score = (reports["sentence_retrieval"].overall.r_at[1]
-                 + reports["image_retrieval"].overall.r_at[1])
+        # train's last epoch already scored the final params on the same records
+        last = train(data, params, cfg).log[-1]
+        score = last["val_r1_sent"] + last["val_r1_img"]
         results.append({**overrides, "score": score,
-                        "r1_sent": reports["sentence_retrieval"].overall.r_at[1],
-                        "r1_img": reports["image_retrieval"].overall.r_at[1]})
+                        "r1_sent": last["val_r1_sent"], "r1_img": last["val_r1_img"]})
         if score > best_score:
             best_cfg, best_score = cfg, score
     return best_cfg, results

@@ -36,10 +36,6 @@ class TestForwardValues:
         out = ad.relu(Tensor.const([[-1.0, 0.0, 2.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.0]])
 
-    def test_sigmoid_tanh_at_zero(self):
-        assert float(ad.sigmoid(Tensor.const(0.0)).data) == 0.5
-        assert float(ad.tanh(Tensor.const(0.0)).data) == 0.0
-
     def test_matmul_against_triple_loop(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -73,28 +69,42 @@ class TestForwardValues:
             ad.add(a, b)
         with pytest.raises(ShapeError, match=r"order_penalty.*\(2, 3\).*\(4, 5\)"):
             ad.order_penalty(a, b)
+        emb, weights = _lstm_params(np.random.default_rng(0), vocab=3, e=2, h=4)
+        emb, weights = Tensor.const(emb), [Tensor.const(w) for w in weights]
+        with pytest.raises(ShapeError, match=r"lstm.*\(3, 2\).*\(2, 3\)"):
+            ad.lstm(emb, [Tensor.const(np.zeros((2, 3)))] + weights[1:], [[0]])
+        with pytest.raises(ShapeError, match="lstm.*out of range"):
+            ad.lstm(emb, weights, [[0, 3]])
+        with pytest.raises(ShapeError, match=r"lstm.*\(B, L\)"):
+            ad.lstm(emb, weights, [0, 1])
 
-    def test_concat_and_slice(self):
-        a = Tensor.const([[1.0, 2.0]])
-        b = Tensor.const([[3.0, 4.0], [5.0, 6.0]])
-        cat = ad.concat_rows([a, b])
-        np.testing.assert_array_equal(cat.data, [[1, 2], [3, 4], [5, 6]])
-        np.testing.assert_array_equal(ad.slice_row(cat, 2).data, [[5, 6]])
-        with pytest.raises(ShapeError):
-            ad.slice_row(cat, 3)
+    def test_lstm_matches_per_gate_numpy_loop(self):
+        rng = np.random.default_rng(13)
+        emb, weights = _lstm_params(rng, vocab=7, e=4, h=5)
+        ids = rng.integers(0, 7, size=(3, 6))
+        w, u, b = (dict(zip("ifgo", weights[k : k + 4])) for k in (0, 4, 8))
+        sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+        h = c = np.zeros((3, 5))
+        for t in range(6):
+            x = emb[ids[:, t]]
+            z = {g: x @ w[g] + h @ u[g] + b[g] for g in "ifgo"}
+            c = sig(z["f"]) * c + sig(z["i"]) * np.tanh(z["g"])
+            h = sig(z["o"]) * np.tanh(c)
+        got = ad.lstm(Tensor.const(emb), [Tensor.const(a) for a in weights], ids)
+        np.testing.assert_allclose(got.data, h, rtol=0, atol=1e-14)
 
-    def test_gather_matches_slice_concat_composition(self):
-        rng = np.random.default_rng(3)
-        m = Tensor.const(rng.normal(size=(6, 4)))
-        rows = [5, 0, 0, 3]
-        gathered = ad.gather_rows(m, rows)
-        composed = ad.concat_rows([ad.slice_row(m, i) for i in rows])
-        np.testing.assert_array_equal(gathered.data, composed.data)
-
-    def test_gather_out_of_range(self):
-        m = Tensor.const(np.zeros((2, 2)))
-        with pytest.raises(ShapeError, match="gather_rows"):
-            ad.gather_rows(m, [0, 2])
+    def test_lstm_finite_at_large_preactivations(self):
+        # every gate sees x = [1e3, -1e3]; a plain 1 / (1 + exp(-z)) overflows
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        weights = [eye] * 4 + [zero] * 4 + [np.zeros((1, 2))] * 4
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in [np.array([[0.0, 0.0], [1e3, -1e3]])] + weights]
+        with np.errstate(over="raise"):
+            h = ad.lstm(leaves[0], leaves[1:], [[1, 1]])
+            grads = ad.backward(tape, ad.reduce_sum(h))
+        # i = f = o = [1, 0] and g = [1, -1]: c = [2, 0] after two steps
+        np.testing.assert_allclose(h.data, [[np.tanh(2.0), 0.0]], atol=1e-15)
+        assert all(np.isfinite(grads[leaf.node_id]).all() for leaf in leaves)
 
 
 class TestBackward:
@@ -146,13 +156,11 @@ class TestBackward:
         # perturbation oracle
         assert ad.finite_diff_check(build, [x0], FD_STEP) < 1e-6
 
-    def test_gradients_flow_through_gather_with_repeats(self):
-        t = Tape()
-        m = t.leaf(np.arange(8.0).reshape(4, 2))
-        out = ad.gather_rows(m, [1, 1, 3])
-        loss = ad.reduce_sum(out)
-        g = ad.backward(t, loss)[m.node_id]
-        np.testing.assert_array_equal(g, [[0, 0], [2, 2], [0, 0], [1, 1]])
+
+def _lstm_params(rng, vocab, e, h):
+    """An embedding and the weights w_i..w_o, u_i..u_o, b_i..b_o."""
+    shapes = [(e, h)] * 4 + [(h, h)] * 4 + [(1, h)] * 4
+    return rng.normal(size=(vocab, e)), [rng.uniform(-0.8, 0.8, s) for s in shapes]
 
 
 def _op_point(kind, rng):
@@ -168,15 +176,16 @@ def _op_point(kind, rng):
             x, y = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
             if np.abs(y[None, :, :] - x[:, None, :]).min() > 0.05:
                 return [x, y]
+    if kind == "lstm":
+        emb, weights = _lstm_params(rng, vocab=4, e=3, h=2)
+        return [emb] + weights
     return [rng.normal(size=(2, 3))]
 
 
 def _op_builder(kind):
     meta = {}
-    if kind == "slice_row":
-        meta = {"row": 1}
-    elif kind == "gather_rows":
-        meta = {"rows": np.array([1, 0, 1])}
+    if kind == "lstm":  # three steps, with rows repeated within and across steps
+        meta = {"ids": np.array([[1, 3, 1], [1, 0, 3]])}
 
     def build(*leaves):
         out = ad.forward_op(kind, leaves, **meta)
@@ -196,7 +205,7 @@ def test_primitive_gradients_match_finite_differences(kind):
 
 def test_random_graphs_match_finite_differences():
     """Random compositions of primitives, five ops deep, against central FD."""
-    unary = ["sigmoid", "tanh", "square", "relu_zero_floor", "abs", "elementwise_mul"]
+    unary = ["square", "relu_zero_floor", "abs", "elementwise_mul"]
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
         kinds = [unary[rng.integers(len(unary))] for _ in range(5)]

@@ -202,6 +202,18 @@ class TestCheckpoint:
             np.testing.assert_array_equal(ck.tensors[name], tensors[name])
         assert (ck.step, ck.lr, ck.batch_size, ck.phase) == (17, 0.025, 32, 1)
 
+    @pytest.mark.parametrize("field, value",
+                             [("phase", 256), ("batch_size", 1 << 32), ("step", -1)])
+    def test_bad_counter_leaves_existing_checkpoint_loadable(self, tmp_path, field, value):
+        p = tmp_path / "ckpt.bin"
+        counters = {"step": 3, "lr": 0.05, "batch_size": 16, "phase": 2}
+        save_checkpoint(p, {"w": np.ones((2, 2))}, **counters)
+        good = p.read_bytes()
+        with pytest.raises(ValueError, match=field):
+            save_checkpoint(p, {"w": np.zeros((2, 2))}, **{**counters, field: value})
+        assert p.read_bytes() == good
+        assert load_checkpoint(p).phase == 2
+
     def test_version_mismatch_rejected(self, tmp_path):
         p = tmp_path / "ckpt.bin"
         save_checkpoint(p, {}, step=0, lr=0.1, batch_size=16, phase=0)

@@ -6,7 +6,7 @@ import pytest
 from xmodal import autodiff as ad
 from xmodal import model
 from xmodal.autodiff import ShapeError, Tape, Tensor
-from xmodal.model import ModelDims, ModelParams, lstm_step
+from xmodal.model import ModelDims, ModelParams
 
 TEST_DIMS = ModelDims(vocab_size=10, embed_dim=8, hidden_dim=16, feature_dim=12)
 FD_TOL = 1e-4
@@ -17,23 +17,33 @@ def tracked_zeros(dims):
     return ModelParams.zeros(dims).as_tracked(None)
 
 
+def run_lstm(p, ids, embedding=None):
+    """The lstm op on the LSTM parameters of `p` (and its or the given embedding)."""
+    weights = [p[f"lstm.{kind}_{g}"] for kind in "wub" for g in model.GATES]
+    emb = p["embedding"] if embedding is None else Tensor.const(embedding)
+    return ad.lstm(emb, weights, ids)
+
+
 class TestLstmStep:
+    """The recurrence of one or a few steps, through the lstm op.
+
+    The op returns only the last h. Where these tests check the cell, they
+    do so through h = o * tanh(c) with o = sigmoid(0) = 0.5, which is zero
+    exactly when c is.
+    """
+
     def test_zero_params_give_zero_state(self):
         p = tracked_zeros(TEST_DIMS)
-        x = Tensor.const(np.random.default_rng(0).normal(size=(3, 8)))
-        h0 = c0 = Tensor.const(np.zeros((3, 16)))
-        h, c = lstm_step(x, h0, c0, p)
+        x = np.random.default_rng(0).normal(size=(3, 8))
+        emb = np.concatenate([np.zeros((1, 8)), x, np.zeros((7, 8))])
+        h = run_lstm(p, [[1], [2], [3]], emb)
         np.testing.assert_array_equal(h.data, np.zeros((3, 16)))
-        np.testing.assert_array_equal(c.data, np.zeros((3, 16)))
 
     def test_forget_bias_alone_keeps_zero_cell(self):
         params = ModelParams.zeros(TEST_DIMS)
         params.tensors["lstm.b_f"][:] = 1.0
         p = ModelParams(TEST_DIMS, params.tensors).as_tracked(None)
-        x = Tensor.const(np.zeros((1, 8)))
-        h0 = c0 = Tensor.const(np.zeros((1, 16)))
-        h, c = lstm_step(x, h0, c0, p)
-        np.testing.assert_array_equal(c.data, np.zeros((1, 16)))
+        h = run_lstm(p, [[0]])
         np.testing.assert_array_equal(h.data, np.zeros((1, 16)))
 
     def test_hand_computed_single_unit(self):
@@ -43,14 +53,12 @@ class TestLstmStep:
         tensors = {n: np.ones(s) for n, s in model.param_shapes(dims).items()}
         for g in model.GATES:
             tensors[f"lstm.b_{g}"] = np.zeros((1, 1))
+        tensors["embedding"] = np.array([[0.0], [0.5]])
         p = ModelParams(dims, tensors).as_tracked(None)
-        x = Tensor.const([[0.5]])
-        zero = Tensor.const([[0.0]])
-        h, c = lstm_step(x, zero, zero, p)
+        h = run_lstm(p, [[1]])
         sig = 1 / (1 + np.exp(-0.5))
         c_want = sig * np.tanh(0.5)
         h_want = sig * np.tanh(c_want)
-        np.testing.assert_allclose(c.data, [[c_want]], atol=1e-15)
         np.testing.assert_allclose(h.data, [[h_want]], atol=1e-15)
 
     def test_three_step_gradients_match_fd(self):
@@ -59,23 +67,21 @@ class TestLstmStep:
         shapes = model.param_shapes(dims)
         names = [n for n in shapes if n.startswith("lstm.")]
         xs = [rng.normal(size=(2, 4)) for _ in range(3)]
+        # row 1 + 2t + b of the embedding is xs[t][b]
+        emb = np.concatenate([np.zeros((1, 4))] + xs)
+        ids = [[1, 3, 5], [2, 4, 6]]
 
         def build(*leaves):
-            p = dict(zip(names, leaves))
-            h = c = Tensor.const(np.zeros((2, 5)))
-            for x in xs:
-                h, c = lstm_step(Tensor.const(x), h, c, p)
-            return ad.reduce_sum(h)
+            return ad.reduce_sum(run_lstm(dict(zip(names, leaves)), ids, emb))
 
         point = [rng.uniform(-0.5, 0.5, shapes[n]) for n in names]
         assert ad.finite_diff_check(build, point, FD_STEP) < FD_TOL
 
     def test_dimension_mismatch_rejected(self):
         p = tracked_zeros(TEST_DIMS)
-        x = Tensor.const(np.zeros((2, 5)))  # wrong embed dim
-        h0 = c0 = Tensor.const(np.zeros((2, 16)))
+        emb = np.zeros((11, 5))  # wrong embed dim
         with pytest.raises(ShapeError):
-            lstm_step(x, h0, c0, p)
+            run_lstm(p, [[1], [2]], emb)
 
 
 class TestEncodeText:
@@ -126,6 +132,16 @@ class TestEncodeText:
         short = model.encode_text_batch(np.array([[1, 2]]), p).data
         padded = model.encode_text_batch(np.array([[1, 2, 0, 0, 0]]), p).data
         assert not np.allclose(short, padded)
+
+    @pytest.mark.parametrize("batch", [2, 16])
+    @pytest.mark.parametrize("seq_len", [3, 40])
+    def test_records_two_tape_nodes(self, batch, seq_len):
+        rng = np.random.default_rng(9)
+        tape = Tape()
+        p = ModelParams.init(TEST_DIMS, rng).as_tracked(tape)
+        before = len(tape.nodes)
+        model.encode_text_batch(rng.integers(0, 11, size=(batch, seq_len)), p)
+        assert [n.kind for n in tape.nodes[before:]] == ["lstm", "abs"]
 
     def test_out_of_range_index_rejected(self):
         params = ModelParams.zeros(TEST_DIMS)

@@ -1,11 +1,15 @@
 """Optimizer, schedule, and training-loop tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from xmodal import autodiff as ad
+from xmodal import training
 from xmodal.io import DataFormatError, FeatureTable, load_checkpoint
-from xmodal.loss import LossConfig
-from xmodal.model import ModelDims, ModelParams
+from xmodal.loss import VARIANCE_SCOPES, LossConfig, batch_loss
+from xmodal.model import ModelDims, ModelParams, encode_image_batch, encode_text_batch
 from xmodal.io import DatasetRecord
 from xmodal.text import build_vocab, normalize
 from xmodal.training import (
@@ -230,6 +234,29 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="loss"):
             train(data, params.with_tensors(tensors), cfg)
 
+    def test_zero_epochs_rejected(self, small_training_setup):
+        data, cfg = small_training_setup
+        params = ModelParams.init(cfg.dims, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="max_epochs"):
+            train(data, params, replace(cfg, max_epochs=0))
+
+    def test_step_forward_records_every_op_kind(self, small_training_setup):
+        # an op kind that no training forward records has no caller
+        data, cfg = small_training_setup
+        token_ids, feats = prepare_pairs(data.records, data.features, data.vocab,
+                                         cfg.seq_len)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(1))
+        kinds = set()
+        for scope in VARIANCE_SCOPES:
+            tape = ad.Tape()
+            p = params.as_tracked(tape)
+            v_txt = encode_text_batch(token_ids[:4], p)
+            v_img = encode_image_batch(feats[:4], p, cfg.image_activation)
+            batch_loss(v_txt, v_img, replace(cfg.loss, lambda_var=0.05,
+                                             variance_scope=scope))
+            kinds |= {node.kind for node in tape.nodes}
+        assert kinds - {"leaf"} == set(ad.OP_TABLE)
+
     def test_tail_batch_of_one_dropped(self):
         # 5 pairs with batch 2 leaves a tail of 1, which must be skipped
         rng = np.random.default_rng(3)
@@ -341,6 +368,26 @@ class TestGridSearch:
         best_small, _ = grid_search({"lr_init": [0.02]}, data, quick)
         best_grown, results = grid_search({"lr_init": [0.02, 0.0]}, data, quick)
         assert best_grown.lr_init == best_small.lr_init
+
+    def test_scores_come_from_the_last_logged_epoch(self, small_training_setup, monkeypatch):
+        data, cfg = small_training_setup
+        evals, logs = [], []
+        evaluate, run = training.evaluate_records, training.train
+        monkeypatch.setattr(training, "evaluate_records",
+                            lambda *a, **k: evals.append(1) or evaluate(*a, **k))
+
+        def logged_train(*args, **kwargs):
+            result = run(*args, **kwargs)
+            logs.append(result.log)
+            return result
+
+        monkeypatch.setattr(training, "train", logged_train)
+        _, results = grid_search({"lr_init": [0.0, 0.02]}, data, replace(cfg, max_epochs=2))
+        assert len(evals) == sum(len(log) for log in logs)  # no second evaluation
+        for res, log in zip(results, logs):
+            assert (res["r1_sent"], res["r1_img"]) == (log[-1]["val_r1_sent"],
+                                                      log[-1]["val_r1_img"])
+            assert res["score"] == res["r1_sent"] + res["r1_img"]
 
     def test_empty_grid_rejected(self, small_training_setup):
         data, cfg = small_training_setup
