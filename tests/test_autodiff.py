@@ -36,6 +36,16 @@ class TestForwardValues:
         out = ad.relu(Tensor.const([[-1.0, 0.0, 2.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.0]])
 
+    def test_sigmoid_tanh_at_zero(self):
+        # zero parameters: i = f = o = sigmoid(0) = 0.5 and g = tanh(0) = 0
+        emb, weights = np.zeros((2, 3)), [np.zeros(s.shape) for s in _lstm_params(
+            np.random.default_rng(0), vocab=2, e=3, h=4)[1]]
+        run = lambda: ad.lstm(Tensor.const(emb), [Tensor.const(w) for w in weights], [[1]])
+        np.testing.assert_array_equal(run().data, np.zeros((1, 4)))
+        weights[10] = np.ones((1, 4))  # b_g = 1, so c = 0.5 tanh(1)
+        np.testing.assert_allclose(run().data, 0.5 * np.tanh(0.5 * np.tanh(np.ones((1, 4)))),
+                                   rtol=1e-15, atol=0)
+
     def test_matmul_against_triple_loop(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -73,10 +83,16 @@ class TestForwardValues:
         emb, weights = Tensor.const(emb), [Tensor.const(w) for w in weights]
         with pytest.raises(ShapeError, match=r"lstm.*\(3, 2\).*\(2, 3\)"):
             ad.lstm(emb, [Tensor.const(np.zeros((2, 3)))] + weights[1:], [[0]])
-        with pytest.raises(ShapeError, match="lstm.*out of range"):
-            ad.lstm(emb, weights, [[0, 3]])
         with pytest.raises(ShapeError, match=r"lstm.*\(B, L\)"):
             ad.lstm(emb, weights, [0, 1])
+
+    def test_gather_out_of_range(self):
+        # the row lookup lives inside the lstm op, which checks the ids
+        emb, weights = _lstm_params(np.random.default_rng(0), vocab=3, e=2, h=4)
+        emb, weights = Tensor.const(emb), [Tensor.const(w) for w in weights]
+        for ids in ([[0, 3]], [[-1, 0]]):
+            with pytest.raises(ShapeError, match=r"lstm.*out of range \[0, 3\)"):
+                ad.lstm(emb, weights, ids)
 
     def test_lstm_matches_per_gate_numpy_loop(self):
         rng = np.random.default_rng(13)
@@ -155,6 +171,22 @@ class TestBackward:
         np.testing.assert_allclose(g, 2.0 * x0 + c, atol=1e-12)
         # perturbation oracle
         assert ad.finite_diff_check(build, [x0], FD_STEP) < 1e-6
+
+    def test_gradients_flow_through_gather_with_repeats(self):
+        # one step, batch rows independent: row 1 looked up twice gets twice the gradient
+        emb, weights = _lstm_params(np.random.default_rng(5), vocab=4, e=2, h=3)
+
+        def emb_grad(ids):
+            t = Tape()
+            leaves = [t.leaf(a) for a in [emb] + weights]
+            loss = ad.reduce_sum(ad.lstm(leaves[0], leaves[1:], ids))
+            return ad.backward(t, loss)[leaves[0].node_id]
+
+        once, g = emb_grad([[1]]), emb_grad([[1], [1], [3]])
+        np.testing.assert_array_equal(g[[0, 2]], 0.0)
+        # the embedding gradient comes out of a GEMM, so the sum may round differently
+        np.testing.assert_allclose(g[1], 2.0 * once[1], rtol=1e-14, atol=0)
+        assert np.abs(g[3]).min() > 0
 
 
 def _lstm_params(rng, vocab, e, h):
