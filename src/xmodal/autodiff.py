@@ -10,14 +10,15 @@ Primitive op kinds:
     matmul, add, elementwise_mul, relu_zero_floor, abs, square, sum, mean,
     order_penalty, lstm
 
-lstm(E, weights, ids) is a whole single-layer LSTM as one node: the inputs
-are the embedding E and w, u, b of each gate, meta["ids"] the (B, L) token
-rows. The scan runs time-major from zero state, looks up step t's rows of
-E inside the loop and keeps only the current (h, c), so a tape-free forward
-over many captions holds no (B, L, e) input or per-step activations. Its
-output is the last h. The VJP reruns the scan, keeping gates and states
-for that one backward call only, then runs backpropagation through time;
-the weight gradients are one GEMM or sum each over the stacked steps.
+lstm(E, W, U, b, ids) is a whole single-layer LSTM as one node: E is the
+embedding, meta["ids"] the (B, L) token rows, and W (e, 4h), U (h, 4h) and
+b (1, 4h) hold the gates side by side in GATES order. Each gate is computed
+on column views, which reach BLAS uncopied and keep temporaries at (B, h):
+one (B, 4h) product would cross glibc's mmap threshold at eval batch sizes.
+The scan looks up step t's rows inside the loop and keeps only the current
+(h, c), so a tape-free forward holds no (B, L, e) input or per-step state;
+it returns the last h. The VJP reruns the scan, runs backpropagation through
+time and forms each gradient as one GEMM, sum or np.add.at over all steps.
 
 order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
 and (M, j) rows as one node; both passes loop over the rows of Y, so neither
@@ -33,6 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+GATES = ("i", "f", "g", "o")  # column blocks of the lstm op's w, u and b
 
 
 class ShapeError(ValueError):
@@ -193,51 +196,46 @@ def _fw_sigmoid(x):
     return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
-def _lstm_steps(emb, weights, ids):
+def _lstm_steps(emb, w, u, b, ids):
     """Yield each step's activated gates (i, f, g, o) and new state (c, h).
 
-    `weights` is w_i..w_o, u_i..u_o, b_i..b_o; step t reads the rows
-    ids[:, t] of `emb` and starts from zero state. Each gate is its own
-    x @ w + h @ u + b, so the values match a per-gate graph bit for bit.
+    Step t reads the rows ids[:, t] of `emb` and starts from zero state.
+    Each gate is its own x @ w_k + h @ u_k + b_k on the k-th column views.
     """
-    ws, us, bs = weights[0:4], weights[4:8], weights[8:12]
-    h = c = np.zeros((ids.shape[0], us[0].shape[0]))
+    blocks = list(zip(*(np.split(a, 4, axis=1) for a in (w, u, b))))
+    h = c = np.zeros((ids.shape[0], u.shape[0]))
     for t in range(ids.shape[1]):
         x = emb[ids[:, t]]
-        zi, zf, zg, zo = (x @ w + h @ u + b for w, u, b in zip(ws, us, bs))
+        zi, zf, zg, zo = (x @ wk + h @ uk + bk for wk, uk, bk in blocks)
         i, f, g, o = _fw_sigmoid(zi), _fw_sigmoid(zf), np.tanh(zg), _fw_sigmoid(zo)
         c = f * c + i * g
         h = o * np.tanh(c)
         yield i, f, g, o, c, h
 
 
-def _fw_lstm(emb, *weights, meta):
+def _fw_lstm(emb, w, u, b, meta):
     ids = meta["ids"]
-    h = np.zeros((ids.shape[0], weights[4].shape[0]))
-    for *_, h in _lstm_steps(emb, weights, ids):
+    h = np.zeros((ids.shape[0], u.shape[0]))
+    for *_, h in _lstm_steps(emb, w, u, b, ids):
         pass
     return h
 
 
 def _bw_lstm(node, g):
-    emb, *weights = (t.data for t in node.inputs)
+    emb, w, u, b = (t.data for t in node.inputs)
     ids = node.meta["ids"]
     n, steps = ids.shape
-    hid = weights[4].shape[0]
-    # Rerun the scan, keeping per step the gates, the cell state and the
-    # hidden state the step started from.
+    hid = u.shape[0]
+    # Rerun the scan, keeping per step the gates and the states; step t
+    # starts from cells[t] and hiddens[t].
     gates = np.empty((steps, n, 4 * hid))
     cells = np.zeros((steps + 1, n, hid))
-    h_prev = np.zeros((steps, n, hid))
-    for t, (i, f, gg, o, c, h) in enumerate(_lstm_steps(emb, weights, ids)):
+    hiddens = np.zeros((steps + 1, n, hid))
+    for t, (i, f, gg, o, c, h) in enumerate(_lstm_steps(emb, w, u, b, ids)):
         gates[t] = np.concatenate((i, f, gg, o), axis=1)
-        cells[t + 1] = c
-        if t + 1 < steps:
-            h_prev[t + 1] = h
-    w_all = np.concatenate(weights[0:4], axis=1)  # (e, 4h)
-    u_all = np.concatenate(weights[4:8], axis=1)  # (h, 4h)
+        cells[t + 1], hiddens[t + 1] = c, h
     # Backpropagation through time: dz[t] is the gradient of step t's four
-    # gate preactivations, side by side in gate order.
+    # gate preactivations, side by side like the columns of w, u and b.
     dz = np.empty_like(gates)
     dh, dc = g, np.zeros((n, hid))
     for t in reversed(range(steps)):
@@ -251,17 +249,16 @@ def _bw_lstm(node, g):
             dh * tc * o * (1.0 - o),
         ), axis=1)
         dc = dc * f
-        dh = dz[t] @ u_all.T
+        dh = dz[t] @ u.T
     # Weight gradients sum over all steps at once, as one GEMM each.
     dz = dz.reshape(steps * n, 4 * hid)
     rows = ids.T.reshape(-1)  # time-major, like dz
     d_emb = np.zeros_like(emb)
-    np.add.at(d_emb, rows, dz @ w_all.T)
+    np.add.at(d_emb, rows, dz @ w.T)
     d_w = emb[rows].T @ dz
-    d_u = h_prev.reshape(steps * n, hid).T @ dz
+    d_u = hiddens[:-1].reshape(steps * n, hid).T @ dz
     d_b = dz.sum(axis=0, keepdims=True)
-    return (d_emb, *np.split(d_w, 4, axis=1), *np.split(d_u, 4, axis=1),
-            *np.split(d_b, 4, axis=1))
+    return (d_emb, d_w, d_u, d_b)
 
 
 def _check_matmul(kind, inputs, meta):
@@ -287,14 +284,13 @@ def _check_any(kind, inputs, meta):
 
 
 def _check_lstm(kind, inputs, meta):
-    emb, weights = inputs[0], inputs[1:]
-    if emb.data.ndim != 2 or weights[4].data.ndim != 2:
+    emb, w, u, b = inputs
+    if emb.data.ndim != 2 or u.data.ndim != 2:
         raise _shape_err(kind, inputs, "rank-2 embedding and weights required")
-    e, hid = emb.shape[1], weights[4].shape[0]
-    want = [(e, hid)] * 4 + [(hid, hid)] * 4 + [(1, hid)] * 4
-    if [w.shape for w in weights] != want:
-        raise _shape_err(kind, inputs, "expected embedding (V,e), then w (e,h), "
-                                       "u (h,h) and b (1,h) for gates i f g o")
+    e, hid = emb.shape[1], u.shape[0]
+    if (w.shape, u.shape, b.shape) != ((e, 4 * hid), (hid, 4 * hid), (1, 4 * hid)):
+        raise _shape_err(kind, inputs, "expected embedding (V,e), w (e,4h), u (h,4h) "
+                                       "and b (1,4h) with gates i f g o side by side")
     ids = np.asarray(meta.get("ids"))
     if ids.ndim != 2 or not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError(f"{kind}: token ids must be integer (B, L), got {ids.shape}")
@@ -313,7 +309,7 @@ OP_TABLE: dict[str, tuple] = {
     "sum": (1, _check_any, _fw_sum, _bw_sum),
     "mean": (1, _check_any, _fw_mean, _bw_mean),
     "order_penalty": (2, _check_order_penalty, _fw_order_penalty, _bw_order_penalty),
-    "lstm": (13, _check_lstm, _fw_lstm, _bw_lstm),
+    "lstm": (4, _check_lstm, _fw_lstm, _bw_lstm),
 }
 
 
@@ -374,12 +370,12 @@ def order_penalty(x: Tensor, y: Tensor) -> Tensor:
     return forward_op("order_penalty", (x, y))
 
 
-def lstm(embedding: Tensor, weights: Sequence[Tensor], ids) -> Tensor:
+def lstm(embedding: Tensor, w: Tensor, u: Tensor, b: Tensor, ids) -> Tensor:
     """Last hidden state of an LSTM over the (B, L) rows `ids` of `embedding`.
 
-    `weights` is w_i, w_f, w_g, w_o, then the u and then the b of each gate.
+    w (e, 4h), u (h, 4h) and b (1, 4h) hold the gates side by side in GATES order.
     """
-    return forward_op("lstm", (embedding, *weights), ids=np.asarray(ids, dtype=np.int64))
+    return forward_op("lstm", (embedding, w, u, b), ids=np.asarray(ids, dtype=np.int64))
 
 
 def neg(x: Tensor) -> Tensor:

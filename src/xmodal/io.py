@@ -16,7 +16,9 @@ written and read back compares bit-equal.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,23 +224,34 @@ class Checkpoint:
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], step: int, lr: float,
                     batch_size: int, phase: int) -> None:
-    # Checked before open() so that a bad counter leaves an existing file intact.
+    """Write via a temporary file that replaces `path`, so an error leaves it as it was."""
     for name, value, bits in (("step", step, 64), ("batch_size", batch_size, 32),
                               ("phase", phase, 8)):
         if not 0 <= value < 1 << bits:
             raise ValueError(f"checkpoint {name}={value} does not fit in u{bits}")
+    for name in tensors:
+        if len(name.encode("utf-8")) > 0xFFFF:
+            raise ValueError(f"checkpoint tensor name too long: {name[:32]!r}...")
     counters = struct.pack("<QdIB", step, lr, batch_size, phase)
-    with open(path, "wb") as f:
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
-        for name, arr in tensors.items():
-            a = np.asarray(arr, dtype=np.float64)
-            nameb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nameb)))
-            f.write(nameb)
-            f.write(struct.pack("<B", a.ndim))
-            f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            f.write(a.astype("<f8").tobytes())
-        f.write(counters)
+    fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
+            for name, arr in tensors.items():
+                a = np.asarray(arr, dtype=np.float64)
+                nameb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nameb)))
+                f.write(nameb)
+                f.write(struct.pack("<B", a.ndim))
+                f.write(struct.pack(f"<{a.ndim}I", *a.shape))
+                f.write(a.astype("<f8").tobytes())
+            f.write(counters)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

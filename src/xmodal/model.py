@@ -4,8 +4,9 @@ Text: a single-layer LSTM with forget gate over the embedded tokens, run
 over all L positions (padding included, no masking), then elementwise
 absolute value of its last hidden state. The lookup and the recurrence are
 the one `autodiff.lstm` op, so the branch is two tape nodes at any batch
-size and length. The LSTM hidden size equals the joint dimension, so the
-text branch needs no projection.
+size and length, and lstm.w, lstm.u and lstm.b are stored as the op takes
+them, the gates side by side in GATES order. The LSTM hidden size equals
+the joint dimension, so the text branch needs no projection.
 
 Image: two affine layers on a precomputed feature vector with a zero-floor
 rectifier between them (configurable to identity), then absolute value.
@@ -21,15 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
-
-GATES = ("i", "f", "g", "o")
+from .autodiff import GATES, Tape, Tensor
 
 PARAM_SHAPES_DOC = """
 embedding   (d+1, e)   row 0 is the padding token
-lstm.w_*    (e, h)     input weights, gates i f g o
-lstm.u_*    (h, h)     recurrent weights
-lstm.b_*    (1, h)     biases
+lstm.w      (e, 4h)    input weights, gates i f g o side by side
+lstm.u      (h, 4h)    recurrent weights, same column blocks
+lstm.b      (1, 4h)    biases, same column blocks
 image.w1    (f, j)     first affine layer
 image.b1    (1, j)
 image.w2    (j, j)     second affine layer
@@ -54,16 +53,12 @@ class ModelDims:
 
 def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
     d, e, h, f = dims.vocab_size, dims.embed_dim, dims.hidden_dim, dims.feature_dim
-    shapes: dict[str, tuple[int, ...]] = {"embedding": (d + 1, e)}
-    for g in GATES:
-        shapes[f"lstm.w_{g}"] = (e, h)
-        shapes[f"lstm.u_{g}"] = (h, h)
-        shapes[f"lstm.b_{g}"] = (1, h)
-    shapes.update({
+    return {
+        "embedding": (d + 1, e),
+        "lstm.w": (e, 4 * h), "lstm.u": (h, 4 * h), "lstm.b": (1, 4 * h),
         "image.w1": (f, h), "image.b1": (1, h),
         "image.w2": (h, h), "image.b2": (1, h),
-    })
-    return shapes
+    }
 
 
 class ModelParams:
@@ -94,9 +89,7 @@ class ModelParams:
         when given; its shape must match (d+1, e).
         """
         shapes = param_shapes(dims)
-        tensors = {}
-        for name, shape in shapes.items():
-            tensors[name] = rng.uniform(-scale, scale, shape)
+        tensors = {name: rng.uniform(-scale, scale, s) for name, s in shapes.items()}
         if embedding is not None:
             emb = np.asarray(embedding, dtype=np.float64)
             if emb.shape != shapes["embedding"]:
@@ -106,7 +99,7 @@ class ModelParams:
             tensors["embedding"] = emb.copy()
         else:
             tensors["embedding"][0] = 0.0
-        tensors["lstm.b_f"] = np.ones(shapes["lstm.b_f"])
+        np.split(tensors["lstm.b"], 4, axis=1)[GATES.index("f")][:] = 1.0  # forget bias 1
         return cls(dims, tensors)
 
     @classmethod
@@ -134,8 +127,8 @@ def encode_text_batch(token_ids: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     All L positions run through the LSTM; only the final hidden state is
     kept, projected by elementwise absolute value.
     """
-    weights = [p[f"lstm.{kind}_{gate}"] for kind in "wub" for gate in GATES]
-    return ad.absolute(ad.lstm(p["embedding"], weights, token_ids))
+    return ad.absolute(ad.lstm(p["embedding"], p["lstm.w"], p["lstm.u"], p["lstm.b"],
+                               token_ids))
 
 
 def encode_image_batch(feats: np.ndarray | Tensor, p: dict[str, Tensor],

@@ -28,7 +28,8 @@ from . import autodiff as ad
 from .evaluation import evaluate_records
 from .io import Checkpoint, DataFormatError, FeatureTable, save_checkpoint
 from .loss import LossConfig, batch_loss
-from .model import ModelDims, ModelParams, encode_image_batch, encode_text_batch
+from .model import (ModelDims, ModelParams, encode_image_batch, encode_text_batch,
+                    param_shapes)
 from .text import Vocabulary, concat_captions, encode, normalize
 
 LR_INIT_DEFAULT = 0.1
@@ -73,12 +74,22 @@ def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc2 = 1.0 - state.beta2 ** t
     out = {}
     for name, theta in tensors.items():
-        g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        out[name] = theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        # Moments in place plus one scratch array, in the textbook order (same
+        # bits): each fresh array as large as paper-shape lstm.u (32 MiB) is mmapped.
+        g, m, v = grads[name], state.m[name], state.v[name]
+        tmp = (1.0 - state.beta1) * g
+        m *= state.beta1
+        m += tmp
+        np.multiply(1.0 - state.beta2, g, out=tmp)
+        tmp *= g
+        v *= state.beta2
+        v += tmp
+        np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+        tmp += state.eps
+        step = m / bc1
+        step *= lr
+        step /= tmp  # lr * m_hat / (sqrt(v_hat) + eps)
+        out[name] = np.subtract(theta, step, out=step)
     return out
 
 
@@ -233,28 +244,30 @@ def save_training_checkpoint(path, params: ModelParams, adam: AdamState,
 
 def restore_training_state(ck: Checkpoint, dims: ModelDims, cfg: TrainConfig,
                            ) -> tuple[ModelParams, AdamState, ScheduleState]:
-    """Rebuild (params, adam, schedule) from a checkpoint, validating shapes."""
-    from .model import param_shapes
+    """Rebuild (params, adam, schedule) from a checkpoint, validating every tensor.
 
-    expected = param_shapes(dims)
-    for name, shape in expected.items():
-        for key in (name, f"adam.m.{name}", f"adam.v.{name}"):
-            if key not in ck.tensors:
-                raise DataFormatError(f"checkpoint missing tensor {key!r}")
-        if ck.tensors[name].shape != shape:
+    The moments are copied, because `adam_step` updates them in place.
+    """
+    def read(key, shape):
+        if key not in ck.tensors:
+            raise DataFormatError(f"checkpoint missing tensor {key!r}")
+        if ck.tensors[key].shape != shape:
             raise DataFormatError(
-                f"checkpoint tensor {name!r} has shape {ck.tensors[name].shape}, "
+                f"checkpoint tensor {key!r} has shape {ck.tensors[key].shape}, "
                 f"config wants {shape}"
             )
-    params = ModelParams(dims, {n: ck.tensors[n] for n in expected})
-    adam = AdamState(
-        m={n: ck.tensors[f"adam.m.{n}"] for n in expected},
-        v={n: ck.tensors[f"adam.v.{n}"] for n in expected},
-        t=ck.step, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+        return ck.tensors[key]
+
+    expected = param_shapes(dims)
+    params = ModelParams(dims, {n: read(n, s) for n, s in expected.items()})
+    m, v = ({n: np.array(read(f"adam.{k}.{n}", s), dtype=np.float64)
+             for n, s in expected.items()} for k in "mv")
+    adam = AdamState(m=m, v=v, t=ck.step, beta1=cfg.adam_beta1,
+                     beta2=cfg.adam_beta2, eps=cfg.adam_eps)
     schedule = ScheduleState(
         lr=ck.lr, batch_size=ck.batch_size,
-        best_loss=float(ck.tensors["schedule.best_loss"][0]),
-        epochs_since_improve=int(ck.tensors["schedule.epochs_since_improve"][0]),
+        best_loss=float(read("schedule.best_loss", (1,))[0]),
+        epochs_since_improve=int(read("schedule.epochs_since_improve", (1,))[0]),
         patience=cfg.plateau_patience, tol=cfg.plateau_tol,
         lr_floor=cfg.lr_floor, lr_reset=cfg.lr_init, grow_cycles=ck.phase)
     return params, adam, schedule

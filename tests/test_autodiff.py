@@ -38,11 +38,11 @@ class TestForwardValues:
 
     def test_sigmoid_tanh_at_zero(self):
         # zero parameters: i = f = o = sigmoid(0) = 0.5 and g = tanh(0) = 0
-        emb, weights = np.zeros((2, 3)), [np.zeros(s.shape) for s in _lstm_params(
-            np.random.default_rng(0), vocab=2, e=3, h=4)[1]]
-        run = lambda: ad.lstm(Tensor.const(emb), [Tensor.const(w) for w in weights], [[1]])
+        emb, w, u, b = (np.zeros(a.shape) for a in _lstm_params(
+            np.random.default_rng(0), vocab=2, e=3, h=4))
+        run = lambda: ad.lstm(*(Tensor.const(a) for a in (emb, w, u, b)), [[1]])
         np.testing.assert_array_equal(run().data, np.zeros((1, 4)))
-        weights[10] = np.ones((1, 4))  # b_g = 1, so c = 0.5 tanh(1)
+        b[:, 8:12] = 1.0  # the g block of b is 1, so c = 0.5 tanh(1)
         np.testing.assert_allclose(run().data, 0.5 * np.tanh(0.5 * np.tanh(np.ones((1, 4)))),
                                    rtol=1e-15, atol=0)
 
@@ -79,26 +79,28 @@ class TestForwardValues:
             ad.add(a, b)
         with pytest.raises(ShapeError, match=r"order_penalty.*\(2, 3\).*\(4, 5\)"):
             ad.order_penalty(a, b)
-        emb, weights = _lstm_params(np.random.default_rng(0), vocab=3, e=2, h=4)
-        emb, weights = Tensor.const(emb), [Tensor.const(w) for w in weights]
+        emb, w, u, b = (Tensor.const(a) for a in _lstm_params(
+            np.random.default_rng(0), vocab=3, e=2, h=4))
         with pytest.raises(ShapeError, match=r"lstm.*\(3, 2\).*\(2, 3\)"):
-            ad.lstm(emb, [Tensor.const(np.zeros((2, 3)))] + weights[1:], [[0]])
+            ad.lstm(emb, Tensor.const(np.zeros((2, 3))), u, b, [[0]])
         with pytest.raises(ShapeError, match=r"lstm.*\(B, L\)"):
-            ad.lstm(emb, weights, [0, 1])
+            ad.lstm(emb, w, u, b, [0, 1])
 
     def test_gather_out_of_range(self):
         # the row lookup lives inside the lstm op, which checks the ids
-        emb, weights = _lstm_params(np.random.default_rng(0), vocab=3, e=2, h=4)
-        emb, weights = Tensor.const(emb), [Tensor.const(w) for w in weights]
+        params = [Tensor.const(a) for a in _lstm_params(
+            np.random.default_rng(0), vocab=3, e=2, h=4)]
         for ids in ([[0, 3]], [[-1, 0]]):
             with pytest.raises(ShapeError, match=r"lstm.*out of range \[0, 3\)"):
-                ad.lstm(emb, weights, ids)
+                ad.lstm(*params, ids)
 
     def test_lstm_matches_per_gate_numpy_loop(self):
         rng = np.random.default_rng(13)
-        emb, weights = _lstm_params(rng, vocab=7, e=4, h=5)
+        params = _lstm_params(rng, vocab=7, e=4, h=5)
+        emb = params[0]
         ids = rng.integers(0, 7, size=(3, 6))
-        w, u, b = (dict(zip("ifgo", weights[k : k + 4])) for k in (0, 4, 8))
+        # gate k is the column block k of w, u and b
+        w, u, b = (dict(zip("ifgo", np.split(a, 4, axis=1))) for a in params[1:])
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         h = c = np.zeros((3, 5))
         for t in range(6):
@@ -106,17 +108,16 @@ class TestForwardValues:
             z = {g: x @ w[g] + h @ u[g] + b[g] for g in "ifgo"}
             c = sig(z["f"]) * c + sig(z["i"]) * np.tanh(z["g"])
             h = sig(z["o"]) * np.tanh(c)
-        got = ad.lstm(Tensor.const(emb), [Tensor.const(a) for a in weights], ids)
+        got = ad.lstm(*(Tensor.const(a) for a in params), ids)
         np.testing.assert_allclose(got.data, h, rtol=0, atol=1e-14)
 
     def test_lstm_finite_at_large_preactivations(self):
         # every gate sees x = [1e3, -1e3]; a plain 1 / (1 + exp(-z)) overflows
-        eye, zero = np.eye(2), np.zeros((2, 2))
-        weights = [eye] * 4 + [zero] * 4 + [np.zeros((1, 2))] * 4
+        w, u, b = np.tile(np.eye(2), 4), np.zeros((2, 8)), np.zeros((1, 8))
         tape = Tape()
-        leaves = [tape.leaf(a) for a in [np.array([[0.0, 0.0], [1e3, -1e3]])] + weights]
+        leaves = [tape.leaf(a) for a in (np.array([[0.0, 0.0], [1e3, -1e3]]), w, u, b)]
         with np.errstate(over="raise"):
-            h = ad.lstm(leaves[0], leaves[1:], [[1, 1]])
+            h = ad.lstm(*leaves, [[1, 1]])
             grads = ad.backward(tape, ad.reduce_sum(h))
         # i = f = o = [1, 0] and g = [1, -1]: c = [2, 0] after two steps
         np.testing.assert_allclose(h.data, [[np.tanh(2.0), 0.0]], atol=1e-15)
@@ -174,12 +175,12 @@ class TestBackward:
 
     def test_gradients_flow_through_gather_with_repeats(self):
         # one step, batch rows independent: row 1 looked up twice gets twice the gradient
-        emb, weights = _lstm_params(np.random.default_rng(5), vocab=4, e=2, h=3)
+        params = _lstm_params(np.random.default_rng(5), vocab=4, e=2, h=3)
 
         def emb_grad(ids):
             t = Tape()
-            leaves = [t.leaf(a) for a in [emb] + weights]
-            loss = ad.reduce_sum(ad.lstm(leaves[0], leaves[1:], ids))
+            leaves = [t.leaf(a) for a in params]
+            loss = ad.reduce_sum(ad.lstm(*leaves, ids))
             return ad.backward(t, loss)[leaves[0].node_id]
 
         once, g = emb_grad([[1]]), emb_grad([[1], [1], [3]])
@@ -190,9 +191,9 @@ class TestBackward:
 
 
 def _lstm_params(rng, vocab, e, h):
-    """An embedding and the weights w_i..w_o, u_i..u_o, b_i..b_o."""
-    shapes = [(e, h)] * 4 + [(h, h)] * 4 + [(1, h)] * 4
-    return rng.normal(size=(vocab, e)), [rng.uniform(-0.8, 0.8, s) for s in shapes]
+    """An embedding and the fused weights w (e, 4h), u (h, 4h) and b (1, 4h)."""
+    shapes = [(e, 4 * h), (h, 4 * h), (1, 4 * h)]
+    return (rng.normal(size=(vocab, e)), *(rng.uniform(-0.8, 0.8, s) for s in shapes))
 
 
 def _op_point(kind, rng):
@@ -209,8 +210,7 @@ def _op_point(kind, rng):
             if np.abs(y[None, :, :] - x[:, None, :]).min() > 0.05:
                 return [x, y]
     if kind == "lstm":
-        emb, weights = _lstm_params(rng, vocab=4, e=3, h=2)
-        return [emb] + weights
+        return list(_lstm_params(rng, vocab=4, e=3, h=2))
     return [rng.normal(size=(2, 3))]
 
 

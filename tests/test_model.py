@@ -19,9 +19,8 @@ def tracked_zeros(dims):
 
 def run_lstm(p, ids, embedding=None):
     """The lstm op on the LSTM parameters of `p` (and its or the given embedding)."""
-    weights = [p[f"lstm.{kind}_{g}"] for kind in "wub" for g in model.GATES]
     emb = p["embedding"] if embedding is None else Tensor.const(embedding)
-    return ad.lstm(emb, weights, ids)
+    return ad.lstm(emb, p["lstm.w"], p["lstm.u"], p["lstm.b"], ids)
 
 
 class TestLstmStep:
@@ -41,7 +40,7 @@ class TestLstmStep:
 
     def test_forget_bias_alone_keeps_zero_cell(self):
         params = ModelParams.zeros(TEST_DIMS)
-        params.tensors["lstm.b_f"][:] = 1.0
+        params.tensors["lstm.b"][:, 16:32] = 1.0  # the f block
         p = ModelParams(TEST_DIMS, params.tensors).as_tracked(None)
         h = run_lstm(p, [[0]])
         np.testing.assert_array_equal(h.data, np.zeros((1, 16)))
@@ -51,8 +50,7 @@ class TestLstmStep:
         # all gate preactivations are 0.5
         dims = ModelDims(vocab_size=1, embed_dim=1, hidden_dim=1, feature_dim=1)
         tensors = {n: np.ones(s) for n, s in model.param_shapes(dims).items()}
-        for g in model.GATES:
-            tensors[f"lstm.b_{g}"] = np.zeros((1, 1))
+        tensors["lstm.b"] = np.zeros((1, 4))
         tensors["embedding"] = np.array([[0.0], [0.5]])
         p = ModelParams(dims, tensors).as_tracked(None)
         h = run_lstm(p, [[1]])
@@ -112,8 +110,7 @@ class TestEncodeText:
         rng = np.random.default_rng(3)
         dims = ModelDims(vocab_size=4, embed_dim=3, hidden_dim=4, feature_dim=2)
         params = ModelParams.init(dims, rng)
-        for g in model.GATES:
-            params.tensors[f"lstm.b_{g}"][:] = 0.0
+        params.tensors["lstm.b"][:] = 0.0
         params.tensors["embedding"][0] = 0.0
         p = params.as_tracked(None)
         a = model.encode_text_batch(np.array([[1, 2, 0, 0, 0]]), p).data
@@ -142,6 +139,9 @@ class TestEncodeText:
         before = len(tape.nodes)
         model.encode_text_batch(rng.integers(0, 11, size=(batch, seq_len)), p)
         assert [n.kind for n in tape.nodes[before:]] == ["lstm", "abs"]
+        lstm_inputs = [t.node_id for t in tape.nodes[before].inputs]
+        assert lstm_inputs == [p[n].node_id for n in ("embedding", "lstm.w", "lstm.u",
+                                                     "lstm.b")]
 
     def test_out_of_range_index_rejected(self):
         params = ModelParams.zeros(TEST_DIMS)
@@ -233,8 +233,17 @@ class TestModelParams:
         for name in a.tensors:
             np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
         assert np.all(np.abs(a.tensors["image.w1"]) <= 0.08)
-        np.testing.assert_array_equal(a.tensors["lstm.b_f"], np.ones((1, 16)))
+        # forget bias 1: exactly the f block, columns h:2h, of lstm.b
+        np.testing.assert_array_equal(np.flatnonzero(a.tensors["lstm.b"] == 1.0),
+                                      np.arange(16, 32))
         np.testing.assert_array_equal(a.tensors["embedding"][0], np.zeros(8))
+
+    def test_param_shapes_hold_the_gates_side_by_side(self):
+        assert model.param_shapes(TEST_DIMS) == {
+            "embedding": (11, 8), "lstm.w": (8, 64), "lstm.u": (16, 64), "lstm.b": (1, 64),
+            "image.w1": (12, 16), "image.b1": (1, 16),
+            "image.w2": (16, 16), "image.b2": (1, 16),
+        }
 
     def test_shape_validation(self):
         tensors = {n: np.zeros(s) for n, s in model.param_shapes(TEST_DIMS).items()}

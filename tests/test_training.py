@@ -61,9 +61,14 @@ class TestAdam:
 
         tensors = {"w": theta}
         state = AdamState.zeros_like(tensors, b1, b2, eps)
+        moments = state.m["w"], state.v["w"]
         out = adam_step(tensors, {"w": g1}, state, lr)
         out = adam_step(out, {"w": g2}, state, lr)
         np.testing.assert_allclose(out["w"], want, atol=1e-12)
+        # the moments are updated in place
+        assert state.m["w"] is moments[0] and state.v["w"] is moments[1]
+        np.testing.assert_allclose(state.m["w"], m, atol=1e-15)
+        np.testing.assert_allclose(state.v["w"], v, atol=1e-15)
 
     def test_nan_gradient_aborts_naming_parameter(self):
         tensors = {"lstm.w_i": np.zeros(2)}
@@ -312,6 +317,57 @@ class TestCheckpointResume:
         from dataclasses import replace
         with pytest.raises(DataFormatError, match="shape"):
             restore_training_state(ck, bigger, replace(cfg, dims=bigger))
+
+    def test_resume_twice_from_one_checkpoint_object(self, small_training_setup):
+        # adam_step updates the moments in place, so restore must not alias them
+        data, cfg = small_training_setup
+        quick = replace(cfg, max_epochs=2, stop_when_perfect=False)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
+        result = train(data, params, quick)
+        ck = Checkpoint(
+            training.checkpoint_tensors(result.params, result.adam, result.schedule),
+            step=result.adam.t, lr=result.schedule.lr,
+            batch_size=result.schedule.batch_size, phase=result.schedule.grow_cycles)
+        before = {n: a.copy() for n, a in ck.tensors.items()}
+        a, b = resume_train(data, ck, quick), resume_train(data, ck, quick)
+        for name in a.params.tensors:
+            np.testing.assert_array_equal(a.params.tensors[name], b.params.tensors[name])
+        for name in before:
+            np.testing.assert_array_equal(ck.tensors[name], before[name])
+
+    @staticmethod
+    def _checkpoint(small_training_setup):
+        data, cfg = small_training_setup
+        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
+        adam = AdamState.zeros_like(params.tensors)
+        tensors = training.checkpoint_tensors(params, adam, ScheduleState())
+        return cfg, Checkpoint(tensors, step=0, lr=0.1, batch_size=4, phase=0)
+
+    def test_missing_schedule_tensor_rejected(self, small_training_setup):
+        cfg, ck = self._checkpoint(small_training_setup)
+        del ck.tensors["schedule.best_loss"]
+        with pytest.raises(DataFormatError, match="missing tensor 'schedule.best_loss'"):
+            restore_training_state(ck, cfg.dims, cfg)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_moment_shape_mismatch_rejected(self, small_training_setup, moment):
+        # a (1, j) moment for the (f, j) image.w1 would broadcast in adam_step
+        cfg, ck = self._checkpoint(small_training_setup)
+        key = f"adam.{moment}.image.w1"
+        ck.tensors[key] = ck.tensors[key][:1]
+        with pytest.raises(DataFormatError, match=f"'{key}' has shape"):
+            restore_training_state(ck, cfg.dims, cfg)
+
+    def test_per_gate_checkpoint_rejected(self, small_training_setup):
+        # the layout with one w, u and b per gate has no reader
+        cfg, ck = self._checkpoint(small_training_setup)
+        for kind in "wub":
+            for prefix in ("", "adam.m.", "adam.v."):
+                fused = ck.tensors.pop(f"{prefix}lstm.{kind}")
+                for gate, block in zip("ifgo", np.split(fused, 4, axis=1)):
+                    ck.tensors[f"{prefix}lstm.{kind}_{gate}"] = block
+        with pytest.raises(DataFormatError, match="missing tensor 'lstm.w'"):
+            restore_training_state(ck, cfg.dims, cfg)
 
     def test_resume_continues(self, small_training_setup, tmp_path):
         data, cfg = small_training_setup
