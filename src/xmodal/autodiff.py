@@ -1,7 +1,8 @@
 """Dense float64 tensors with a reverse-mode autodiff tape.
 
 Everything here is desk-scale by design: values are numpy arrays, ops are
-eager, and a Tape records one forward pass that backward() consumes once.
+eager, and a Tape records one forward pass that backward() consumes once,
+emptying it.
 Tensors are treated as immutable; callers must not mutate arrays after
 handing them in.
 
@@ -15,10 +16,13 @@ embedding, meta["ids"] the (B, L) token rows, and W (e, 4h), U (h, 4h) and
 b (1, 4h) hold the gates side by side in GATES order. Each gate is computed
 on column views, which reach BLAS uncopied and keep temporaries at (B, h):
 one (B, 4h) product would cross glibc's mmap threshold at eval batch sizes.
-The scan looks up step t's rows inside the loop and keeps only the current
-(h, c), so a tape-free forward holds no (B, L, e) input or per-step state;
-it returns the last h. The VJP reruns the scan, runs backpropagation through
-time and forms each gradient as one GEMM, sum or np.add.at over all steps.
+The scan looks up step t's rows inside the loop and returns the last h. A
+tape-free forward keeps only the current (h, c), so it holds no (B, L, e)
+input or per-step state. Recorded on a tape, the forward also keeps each
+step's gates and the (L+1, B, h) cells and hiddens in meta["saved"]; the VJP
+pops them off the node, so they are freed as it returns, runs
+backpropagation through time on them and forms each gradient as one GEMM,
+sum or np.add.at over all steps.
 
 order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
 and (M, j) rows as one node; both passes loop over the rows of Y, so neither
@@ -190,35 +194,51 @@ def _bw_order_penalty(node, g):
     return (gx, gy)
 
 
-def _fw_sigmoid(x):
+def _fw_sigmoid(x, out=None):
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never overflows.
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    return np.divide(np.where(x >= 0, 1.0, ex), 1.0 + ex, out=out)
 
 
-def _lstm_steps(emb, w, u, b, ids):
-    """Yield each step's activated gates (i, f, g, o) and new state (c, h).
+def _lstm_steps(emb, w, u, b, ids, gates=None):
+    """Yield each step's new state (c, h), starting from zero state.
 
-    Step t reads the rows ids[:, t] of `emb` and starts from zero state.
-    Each gate is its own x @ w_k + h @ u_k + b_k on the k-th column views.
+    Step t reads the rows ids[:, t] of `emb`. Each gate is its own
+    x @ w_k + h @ u_k + b_k on the k-th column views. Given an (L, B, 4h)
+    `gates`, step t's activated gates i f g o are written into the column
+    blocks of gates[t]; otherwise each is a fresh (B, h) array.
     """
     blocks = list(zip(*(np.split(a, 4, axis=1) for a in (w, u, b))))
+    acts = (_fw_sigmoid, _fw_sigmoid, np.tanh, _fw_sigmoid)
     h = c = np.zeros((ids.shape[0], u.shape[0]))
     for t in range(ids.shape[1]):
         x = emb[ids[:, t]]
-        zi, zf, zg, zo = (x @ wk + h @ uk + bk for wk, uk, bk in blocks)
-        i, f, g, o = _fw_sigmoid(zi), _fw_sigmoid(zf), np.tanh(zg), _fw_sigmoid(zo)
+        outs = np.split(gates[t], 4, axis=1) if gates is not None else (None,) * 4
+        i, f, g, o = (act(x @ wk + h @ uk + bk, out=out)
+                      for act, (wk, uk, bk), out in zip(acts, blocks, outs))
         c = f * c + i * g
         h = o * np.tanh(c)
-        yield i, f, g, o, c, h
+        yield c, h
 
 
 def _fw_lstm(emb, w, u, b, meta):
     ids = meta["ids"]
-    h = np.zeros((ids.shape[0], u.shape[0]))
-    for *_, h in _lstm_steps(emb, w, u, b, ids):
-        pass
-    return h
+    n, steps = ids.shape
+    hid = u.shape[0]
+    h = np.zeros((n, hid))
+    if "saved" not in meta:  # tape-free: only the current state is kept
+        for _, h in _lstm_steps(emb, w, u, b, ids):
+            pass
+        return h
+    # Recorded: keep per step the gates and the states for the VJP; step t
+    # starts from cells[t] and hiddens[t].
+    gates = np.empty((steps, n, 4 * hid))
+    cells = np.zeros((steps + 1, n, hid))
+    hiddens = np.zeros((steps + 1, n, hid))
+    for t, (c, h) in enumerate(_lstm_steps(emb, w, u, b, ids, gates)):
+        cells[t + 1], hiddens[t + 1] = c, h
+    meta["saved"].update(gates=gates, cells=cells, hiddens=hiddens)
+    return h  # a fresh array, not a view that would keep `hiddens` alive
 
 
 def _bw_lstm(node, g):
@@ -226,14 +246,9 @@ def _bw_lstm(node, g):
     ids = node.meta["ids"]
     n, steps = ids.shape
     hid = u.shape[0]
-    # Rerun the scan, keeping per step the gates and the states; step t
-    # starts from cells[t] and hiddens[t].
-    gates = np.empty((steps, n, 4 * hid))
-    cells = np.zeros((steps + 1, n, hid))
-    hiddens = np.zeros((steps + 1, n, hid))
-    for t, (i, f, gg, o, c, h) in enumerate(_lstm_steps(emb, w, u, b, ids)):
-        gates[t] = np.concatenate((i, f, gg, o), axis=1)
-        cells[t + 1], hiddens[t + 1] = c, h
+    # What the forward kept leaves the node here, so it is freed with this call.
+    saved = node.meta.pop("saved")
+    gates, cells, hiddens = saved["gates"], saved["cells"], saved["hiddens"]
     # Backpropagation through time: dz[t] is the gradient of step t's four
     # gate preactivations, side by side like the columns of w, u and b.
     dz = np.empty_like(gates)
@@ -242,12 +257,12 @@ def _bw_lstm(node, g):
         i, f, gg, o = np.split(gates[t], 4, axis=1)
         tc = np.tanh(cells[t + 1])
         dc = dc + dh * o * (1.0 - tc * tc)
-        dz[t] = np.concatenate((
+        np.concatenate((
             dc * gg * i * (1.0 - i),
             dc * cells[t] * f * (1.0 - f),
             dc * i * (1.0 - gg * gg),
             dh * tc * o * (1.0 - o),
-        ), axis=1)
+        ), axis=1, out=dz[t])
         dc = dc * f
         dh = dz[t] @ u.T
     # Weight gradients sum over all steps at once, as one GEMM each.
@@ -327,6 +342,8 @@ def forward_op(kind: str, inputs: Sequence[Tensor], **meta) -> Tensor:
     if len(tapes) > 1:
         raise ValueError(f"{kind}: inputs belong to different tapes")
 
+    if tapes:  # a recorded op's forward may keep here what its VJP needs
+        meta["saved"] = {}
     out_data = fw(*(t.data for t in inputs), meta=meta)
 
     if tapes:
@@ -391,10 +408,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     """Gradient of a scalar loss with respect to every node on the tape.
 
-    Unreachable nodes report a zero gradient of matching shape.
+    Unreachable nodes report a zero gradient of matching shape. The tape is
+    consumed: backward empties it, so what it recorded is freed with the last
+    outside reference instead of waiting for the cyclic garbage collector
+    (each tensor refers back to its tape).
     """
-    if loss.tape is not tape or loss.node_id is None:
-        raise ValueError("loss tensor is not a node of this tape")
+    if loss.tape is not tape or loss.node_id is None or loss.node_id >= len(tape.nodes):
+        raise ValueError("loss tensor is not a node of this tape, or backward "
+                         "already consumed it")
     if loss.data.size != 1 or loss.data.ndim > 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
 
@@ -415,10 +436,12 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
             else:
                 grads[inp.node_id] += gi
 
-    return {
+    out = {
         i: (grads[i] if grads[i] is not None else np.zeros_like(n.output.data))
         for i, n in enumerate(tape.nodes)
     }
+    tape.nodes.clear()
+    return out
 
 
 def finite_diff_check(

@@ -229,9 +229,13 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], step: int, lr: float,
                               ("phase", phase, 8)):
         if not 0 <= value < 1 << bits:
             raise ValueError(f"checkpoint {name}={value} does not fit in u{bits}")
-    for name in tensors:
+    for name, arr in tensors.items():
         if len(name.encode("utf-8")) > 0xFFFF:
             raise ValueError(f"checkpoint tensor name too long: {name[:32]!r}...")
+        # Extents are u32; the u8 rank needs no check, as numpy caps it at 64.
+        if max(np.shape(arr), default=0) >= 1 << 32:
+            raise ValueError(f"checkpoint tensor {name!r} has shape {np.shape(arr)}, "
+                             f"an extent over u32")
     counters = struct.pack("<QdIB", step, lr, batch_size, phase)
     fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=os.path.dirname(os.path.abspath(path)))
     try:

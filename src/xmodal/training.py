@@ -35,6 +35,9 @@ from .text import Vocabulary, concat_captions, encode, normalize
 LR_INIT_DEFAULT = 0.1
 LR_FLOOR_DEFAULT = 1e-7
 BATCH_INIT_DEFAULT = 16
+# Elements per block of adam_step: the block's slices of its five arrays and
+# one scratch array (128 KiB each) stay in cache through the dozen passes.
+ADAM_BLOCK = 1 << 14
 
 
 class NumericsError(RuntimeError):
@@ -72,24 +75,35 @@ def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     t = state.t
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
+    tmp = np.empty(ADAM_BLOCK)  # scratch that stays in cache across blocks
     out = {}
     for name, theta in tensors.items():
-        # Moments in place plus one scratch array, in the textbook order (same
-        # bits): each fresh array as large as paper-shape lstm.u (32 MiB) is mmapped.
         g, m, v = grads[name], state.m[name], state.v[name]
-        tmp = (1.0 - state.beta1) * g
-        m *= state.beta1
-        m += tmp
-        np.multiply(1.0 - state.beta2, g, out=tmp)
-        tmp *= g
-        v *= state.beta2
-        v += tmp
-        np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
-        tmp += state.eps
-        step = m / bc1
-        step *= lr
-        step /= tmp  # lr * m_hat / (sqrt(v_hat) + eps)
-        out[name] = np.subtract(theta, step, out=step)
+        new = np.empty(theta.shape)
+        # Flat views; an array not in C order gives a copy, so the moments'
+        # copies are written back below.
+        flat = [a.reshape(-1) for a in (theta, g, m, v, new)]
+        for lo in range(0, theta.size, ADAM_BLOCK):
+            th, gb, mb, vb, nb = (a[lo:lo + ADAM_BLOCK] for a in flat)
+            tb = tmp[:th.size]
+            # The textbook order of operations, so blocking keeps every bit.
+            np.multiply(1.0 - state.beta1, gb, out=tb)
+            mb *= state.beta1
+            mb += tb
+            np.multiply(1.0 - state.beta2, gb, out=tb)
+            tb *= gb
+            vb *= state.beta2
+            vb += tb
+            np.sqrt(np.divide(vb, bc2, out=tb), out=tb)
+            tb += state.eps
+            np.divide(mb, bc1, out=nb)
+            nb *= lr
+            nb /= tb  # lr * m_hat / (sqrt(v_hat) + eps)
+            np.subtract(th, nb, out=nb)
+        for moment, f in ((m, flat[2]), (v, flat[3])):
+            if not np.may_share_memory(moment, f):
+                moment[...] = f.reshape(moment.shape)
+        out[name] = new
     return out
 
 

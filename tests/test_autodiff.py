@@ -6,6 +6,9 @@ from them) are sampled away from the origin so the subgradient convention
 does not pollute the comparison.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +176,25 @@ class TestBackward:
         # perturbation oracle
         assert ad.finite_diff_check(build, [x0], FD_STEP) < 1e-6
 
+    def test_backward_consumes_the_tape(self):
+        # emptied, the tape is freed by reference counting alone
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t = Tape()
+            x = t.leaf([1.0, 2.0])
+            loss = ad.reduce_sum(ad.square(x))
+            ad.backward(t, loss)
+            assert t.nodes == []
+            with pytest.raises(ValueError, match="already consumed"):
+                ad.backward(t, loss)
+            ref = weakref.ref(t)
+            del t, x, loss
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_gradients_flow_through_gather_with_repeats(self):
         # one step, batch rows independent: row 1 looked up twice gets twice the gradient
         params = _lstm_params(np.random.default_rng(5), vocab=4, e=2, h=3)
@@ -188,6 +210,58 @@ class TestBackward:
         # the embedding gradient comes out of a GEMM, so the sum may round differently
         np.testing.assert_allclose(g[1], 2.0 * once[1], rtol=1e-14, atol=0)
         assert np.abs(g[3]).min() > 0
+
+
+class TestLstmKeepsItsForward:
+    """A recorded lstm keeps its gates and states for the VJP, which frees them."""
+
+    IDS = [[1, 5, 2], [0, 5, 5]]
+
+    def _grads(self, params, after_forward=lambda node: None):
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in params]
+        h = ad.lstm(*leaves, self.IDS)
+        node = tape.nodes[h.node_id]
+        after_forward(node)
+        grads = ad.backward(tape, ad.reduce_sum(ad.square(h)))
+        return node, [grads[leaf.node_id] for leaf in leaves]
+
+    def test_backward_does_not_rerun_the_scan(self, monkeypatch):
+        params = _lstm_params(np.random.default_rng(11), vocab=6, e=3, h=4)
+        _, want = self._grads(params)
+
+        def rerun(*args, **kwargs):
+            raise AssertionError("the lstm VJP reran the scan")
+
+        _, got = self._grads(params, lambda node: monkeypatch.setattr(ad, "_lstm_steps", rerun))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_backward_frees_the_saved_arrays(self):
+        params = _lstm_params(np.random.default_rng(12), vocab=6, e=3, h=4)
+        shapes = {}
+
+        def record(node):
+            shapes.update({k: a.shape for k, a in node.meta["saved"].items()})
+
+        node, _ = self._grads(params, record)
+        # L = 3 steps of B = 2 rows: gates (L, B, 4h), states from zero (L+1, B, h)
+        assert shapes == {"gates": (3, 2, 16), "cells": (4, 2, 4), "hiddens": (4, 2, 4)}
+        assert set(node.meta) == {"ids"}
+
+    def test_tape_free_forward_keeps_nothing(self, monkeypatch):
+        arity, check, fw, bw = ad.OP_TABLE["lstm"]
+        metas = []
+
+        def spy(*data, meta):
+            out = fw(*data, meta=meta)
+            metas.append(meta)
+            return out
+
+        monkeypatch.setitem(ad.OP_TABLE, "lstm", (arity, check, spy, bw))
+        params = _lstm_params(np.random.default_rng(13), vocab=6, e=3, h=4)
+        ad.lstm(*(Tensor.const(a) for a in params), self.IDS)
+        assert [set(m) for m in metas] == [{"ids"}]
 
 
 def _lstm_params(rng, vocab, e, h):

@@ -13,6 +13,7 @@ from xmodal.model import ModelDims, ModelParams, encode_image_batch, encode_text
 from xmodal.io import DatasetRecord
 from xmodal.text import build_vocab, normalize
 from xmodal.training import (
+    ADAM_BLOCK,
     AdamState,
     NumericsError,
     ScheduleState,
@@ -46,14 +47,22 @@ class TestAdam:
         # m_hat = g, v_hat = g^2: update = -lr * g / (|g| + eps)
         np.testing.assert_allclose(out["w"], -0.05 * np.sign(g), rtol=1e-6)
 
-    def test_two_steps_match_hand_rolled_recurrence(self):
+    @pytest.mark.parametrize("shape, order", [
+        ((3,), "C"),
+        ((ADAM_BLOCK,), "C"),
+        ((2 * ADAM_BLOCK + 5,), "C"),  # two full blocks and a partial one
+        # flattening a moment not in C order makes a copy, which must not
+        # swallow the update
+        ((129, 131), "F"),
+    ], ids=["3", "one-block", "two-blocks-and-5", "fortran-2d"])
+    def test_two_steps_match_hand_rolled_recurrence(self, shape, order):
         rng = np.random.default_rng(0)
-        theta = rng.normal(size=3)
-        g1, g2 = rng.normal(size=3), rng.normal(size=3)
+        theta = np.asarray(rng.normal(size=shape), order=order)
+        g1, g2 = rng.normal(size=shape), rng.normal(size=shape)
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
 
-        # independent recurrence
-        m = np.zeros(3); v = np.zeros(3); want = theta.copy()
+        # independent whole-array recurrence, in the same order of operations
+        m = np.zeros(shape); v = np.zeros(shape); want = theta.copy()
         for t, g in ((1, g1), (2, g2)):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
@@ -64,17 +73,27 @@ class TestAdam:
         moments = state.m["w"], state.v["w"]
         out = adam_step(tensors, {"w": g1}, state, lr)
         out = adam_step(out, {"w": g2}, state, lr)
-        np.testing.assert_allclose(out["w"], want, atol=1e-12)
+        # blocking changes no bit
+        np.testing.assert_array_equal(out["w"], want)
         # the moments are updated in place
         assert state.m["w"] is moments[0] and state.v["w"] is moments[1]
-        np.testing.assert_allclose(state.m["w"], m, atol=1e-15)
-        np.testing.assert_allclose(state.v["w"], v, atol=1e-15)
+        np.testing.assert_array_equal(state.m["w"], m)
+        np.testing.assert_array_equal(state.v["w"], v)
 
     def test_nan_gradient_aborts_naming_parameter(self):
-        tensors = {"lstm.w_i": np.zeros(2)}
+        tensors = {"lstm.u": np.ones(3), "lstm.w": np.zeros(2)}
         state = AdamState.zeros_like(tensors)
-        with pytest.raises(NumericsError, match="lstm.w_i"):
-            adam_step(tensors, {"lstm.w_i": np.array([1.0, np.nan])}, state, 0.1)
+        tensors = adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.ones(2)},
+                            state, 0.1)
+        m, v = ({n: a.copy() for n, a in d.items()} for d in (state.m, state.v))
+        with pytest.raises(NumericsError, match="'lstm.w'"):
+            adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.array([1.0, np.nan])},
+                      state, 0.1)
+        # the first tensor's update did not start either
+        assert state.t == 1
+        for moments, before in ((state.m, m), (state.v, v)):
+            for name, a in before.items():
+                np.testing.assert_array_equal(moments[name], a)
 
     def test_shapes_preserved(self):
         rng = np.random.default_rng(1)
