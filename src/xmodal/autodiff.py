@@ -406,12 +406,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
-    """Gradient of a scalar loss with respect to every node on the tape.
+    """Gradient of a scalar loss with respect to every leaf on the tape.
 
-    Unreachable nodes report a zero gradient of matching shape. The tape is
-    consumed: backward empties it, so what it recorded is freed with the last
-    outside reference instead of waiting for the cyclic garbage collector
-    (each tensor refers back to its tape).
+    A leaf the loss does not reach reports a zero gradient of matching shape.
+    Intermediate gradients are not returned: each is dropped once its VJP
+    has run. The tape is consumed: backward empties it, so what it recorded
+    is freed with the last outside reference instead of waiting for the
+    cyclic garbage collector (each tensor refers back to its tape).
     """
     if loss.tape is not tape or loss.node_id is None or loss.node_id >= len(tape.nodes):
         raise ValueError("loss tensor is not a node of this tape, or backward "
@@ -423,9 +424,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     grads[loss.node_id] = np.ones_like(loss.data)
 
     for node in reversed(tape.nodes[: loss.node_id + 1]):
+        if node.kind == "leaf":
+            continue
         out_id = node.output.node_id
-        g = grads[out_id]
-        if g is None or node.kind == "leaf":
+        g, grads[out_id] = grads[out_id], None
+        if g is None:
             continue
         vjps = OP_TABLE[node.kind][3](node, g)
         for inp, gi in zip(node.inputs, vjps):
@@ -438,7 +441,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
 
     out = {
         i: (grads[i] if grads[i] is not None else np.zeros_like(n.output.data))
-        for i, n in enumerate(tape.nodes)
+        for i, n in enumerate(tape.nodes) if n.kind == "leaf"
     }
     tape.nodes.clear()
     return out

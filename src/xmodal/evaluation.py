@@ -55,32 +55,6 @@ def best_relevant_ranks(penalties: np.ndarray, relevant: np.ndarray) -> np.ndarr
     return 1 + np.sum(penalties < best, axis=1) + np.sum(tied & earlier, axis=1)
 
 
-def rank_gallery(query: np.ndarray, gallery: np.ndarray, relevant,
-                 direction: str) -> int:
-    """1-based rank of the best relevant gallery item for one query.
-
-    direction "text_query" scores S(query, item); "image_query" scores
-    S(item, query).
-    """
-    gallery = np.asarray(gallery, dtype=np.float64)
-    relevant = np.asarray(relevant, dtype=np.int64)
-    if gallery.ndim != 2 or gallery.shape[0] == 0:
-        raise ValueError("rank_gallery: gallery must be a non-empty (N, j) array")
-    if relevant.size == 0:
-        raise ValueError("rank_gallery: relevant set must be non-empty")
-    if relevant.min() < 0 or relevant.max() >= gallery.shape[0]:
-        raise ValueError("rank_gallery: relevant index out of range")
-    q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-    if direction == "text_query":
-        pen = pairwise_order_penalty(q, gallery)
-    elif direction == "image_query":
-        pen = pairwise_order_penalty(gallery, q).T
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    mask = np.isin(np.arange(len(gallery)), relevant)[None, :]
-    return int(best_relevant_ranks(pen, mask)[0])
-
-
 def recall_at_k(best_ranks, k: int) -> float:
     ranks = np.asarray(best_ranks)
     if ranks.size == 0:

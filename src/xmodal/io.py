@@ -16,6 +16,7 @@ written and read back compares bit-equal.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import INIT_SCALE
 from .text import Vocabulary
 
 FEATURE_MAGIC = b"IMFT"
@@ -79,6 +81,28 @@ class FeatureTable:
         )
 
 
+class _Reader:
+    """Bounds-checked sequential reads over the bytes of a binary file."""
+
+    def __init__(self, path):
+        with open(path, "rb") as f:
+            self.blob = f.read()
+        self.path = path
+        self.off = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.off + n > len(self.blob):
+            raise DataFormatError(f"{self.path}: truncated {what} at offset {self.off}")
+        self.off += n
+        return self.blob[self.off - n : self.off]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def left(self) -> int:
+        return len(self.blob) - self.off
+
+
 def write_feature_file(table: FeatureTable, path) -> None:
     with open(path, "wb") as f:
         f.write(FEATURE_MAGIC)
@@ -93,35 +117,22 @@ def write_feature_file(table: FeatureTable, path) -> None:
 
 
 def read_feature_file(path) -> FeatureTable:
-    with open(path, "rb") as f:
-        blob = f.read()
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise DataFormatError(f"{path}: truncated {what} at offset {off}")
-        out = blob[off : off + n]
-        off += n
-        return out
-
-    off = 0
-    if take(4, "magic") != FEATURE_MAGIC:
+    r = _Reader(path)
+    if r.take(4, "magic") != FEATURE_MAGIC:
         raise DataFormatError(f"{path}: bad magic, not a feature file")
-    version, count, dim = struct.unpack("<III", take(12, "header"))
+    version, count, dim = r.unpack("<III", "header")
     if version != FEATURE_VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
     if dim < 1:
         raise DataFormatError(f"{path}: invalid dim {dim}")
     table = FeatureTable(dim)
     for _ in range(count):
-        (id_len,) = struct.unpack("<H", take(2, "id length"))
-        image_id = take(id_len, "id").decode("utf-8")
-        vec = np.frombuffer(take(4 * dim, f"record {image_id!r}"), dtype="<f4")
+        (id_len,) = r.unpack("<H", "id length")
+        image_id = r.take(id_len, "id").decode("utf-8")
+        vec = np.frombuffer(r.take(4 * dim, f"record {image_id!r}"), dtype="<f4")
         table.add(image_id, vec)
-    if off != len(blob):
-        raise DataFormatError(
-            f"{path}: {len(blob) - off} trailing bytes after {count} records"
-        )
+    if r.left():
+        raise DataFormatError(f"{path}: {r.left()} trailing bytes after {count} records")
     return table
 
 
@@ -143,9 +154,14 @@ def load_dataset(path, features: FeatureTable | None = None) -> list[DatasetReco
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataFormatError(f"{path}:{lineno}: invalid json: {e}") from None
+            if not isinstance(obj, dict):
+                raise DataFormatError(f"{path}:{lineno}: expected a json object")
             for field in ("id", "feature_ref", "captions"):
                 if field not in obj:
                     raise DataFormatError(f"{path}:{lineno}: missing field {field!r}")
+            for field in ("id", "feature_ref"):
+                if not isinstance(obj[field], str):
+                    raise DataFormatError(f"{path}:{lineno}: {field} must be a string")
             if not isinstance(obj["captions"], list) or not obj["captions"]:
                 raise DataFormatError(f"{path}:{lineno}: captions must be non-empty")
             if not all(isinstance(c, str) for c in obj["captions"]):
@@ -167,13 +183,14 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
             ) + "\n")
 
 
-def load_word_vectors(path, vocab: Vocabulary, rng: np.random.Generator,
-                      fallback_scale: float = 0.08) -> tuple[np.ndarray, float]:
+def load_word_vectors(path, vocab: Vocabulary,
+                      rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Build a (d+1, dim) embedding matrix from a text word-vector file.
 
     Row 0 (padding) is zeros; vocabulary tokens found in the file get their
-    vector verbatim, the rest draw uniform [-fallback_scale, fallback_scale]
-    from `rng` in index order. Returns (matrix, matched/d coverage).
+    vector verbatim, the rest draw uniform [-INIT_SCALE, INIT_SCALE] (as a
+    random embedding does) from `rng` in index order. Returns (matrix,
+    matched/d coverage).
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
@@ -208,7 +225,7 @@ def load_word_vectors(path, vocab: Vocabulary, rng: np.random.Generator,
             matrix[idx] = vec
             matched += 1
         else:
-            matrix[idx] = rng.uniform(-fallback_scale, fallback_scale, dim)
+            matrix[idx] = rng.uniform(-INIT_SCALE, INIT_SCALE, dim)
     coverage = matched / d if d else 1.0
     return matrix, coverage
 
@@ -259,33 +276,22 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], step: int, lr: float,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        blob = f.read()
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise DataFormatError(f"{path}: truncated {what} at offset {off}")
-        out = blob[off : off + n]
-        off += n
-        return out
-
-    off = 0
-    version, count = struct.unpack("<II", take(8, "header"))
+    r = _Reader(path)
+    version, count = r.unpack("<II", "header")
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
-        (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"extents of {name!r}"))
-        n = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(take(8 * n, f"data of {name!r}"), dtype="<f8")
+        (name_len,) = r.unpack("<H", "tensor name length")
+        name = r.take(name_len, "tensor name").decode("utf-8")
+        (rank,) = r.unpack("<B", f"rank of {name!r}")
+        shape = r.unpack(f"<{rank}I", f"extents of {name!r}")
+        n = math.prod(shape)  # np.prod would wrap in int64
+        data = np.frombuffer(r.take(8 * n, f"data of {name!r}"), dtype="<f8")
         if name in tensors:
             raise DataFormatError(f"{path}: duplicate tensor {name!r}")
         tensors[name] = data.reshape(shape).copy()
-    step, lr, batch_size, phase = struct.unpack("<QdIB", take(21, "counters"))
-    if off != len(blob):
-        raise DataFormatError(f"{path}: {len(blob) - off} trailing bytes")
+    step, lr, batch_size, phase = r.unpack("<QdIB", "counters")
+    if r.left():
+        raise DataFormatError(f"{path}: {r.left()} trailing bytes")
     return Checkpoint(tensors, step, lr, batch_size, phase)

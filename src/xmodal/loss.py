@@ -82,11 +82,6 @@ def pairwise_order_penalty(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray
     return ad.order_penalty(Tensor.const(x), Tensor.const(y)).data
 
 
-def similarity_matrix(v_txt_rows: np.ndarray, v_img_rows: np.ndarray) -> np.ndarray:
-    """Entry (i, k) = similarity(text i, image k); all entries <= 0."""
-    return -pairwise_order_penalty(v_txt_rows, v_img_rows)
-
-
 def _row_variances(rows: Tensor) -> Tensor:
     """(n, 1) population variance of each row's components: E[x^2] - E[x]^2."""
     avg = Tensor.const(np.full((rows.shape[1], 1), 1.0 / rows.shape[1]))

@@ -24,6 +24,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GATES, Tape, Tensor
 
+# Random weights, and word vectors missing from a file, are uniform in ±INIT_SCALE.
+INIT_SCALE = 0.08
+
 PARAM_SHAPES_DOC = """
 embedding   (d+1, e)   row 0 is the padding token
 lstm.w      (e, 4h)    input weights, gates i f g o side by side
@@ -82,14 +85,15 @@ class ModelParams:
 
     @classmethod
     def init(cls, dims: ModelDims, rng: np.random.Generator,
-             embedding: np.ndarray | None = None, scale: float = 0.08) -> "ModelParams":
-        """Uniform [-scale, scale] weights, forget bias 1, zero padding row.
+             embedding: np.ndarray | None = None) -> "ModelParams":
+        """Uniform [-INIT_SCALE, INIT_SCALE] weights, forget bias 1, zero padding row.
 
         An embedding matrix (e.g. from word vectors) replaces the random one
         when given; its shape must match (d+1, e).
         """
         shapes = param_shapes(dims)
-        tensors = {name: rng.uniform(-scale, scale, s) for name, s in shapes.items()}
+        tensors = {name: rng.uniform(-INIT_SCALE, INIT_SCALE, s)
+                   for name, s in shapes.items()}
         if embedding is not None:
             emb = np.asarray(embedding, dtype=np.float64)
             if emb.shape != shapes["embedding"]:
@@ -137,7 +141,7 @@ def encode_image_batch(feats: np.ndarray | Tensor, p: dict[str, Tensor],
     x = feats if isinstance(feats, Tensor) else Tensor.const(feats)
     if x.data.ndim != 2 or x.shape[1] != p["image.w1"].shape[0]:
         raise ad.ShapeError(
-            f"encode_image: features {x.shape} do not match w1 {p['image.w1'].shape}"
+            f"encode_image_batch: features {x.shape} do not match w1 {p['image.w1'].shape}"
         )
     n = x.shape[0]
     hidden = ad.add(ad.matmul(x, p["image.w1"]), _bias_rows(p["image.b1"], n))
@@ -148,17 +152,3 @@ def encode_image_batch(feats: np.ndarray | Tensor, p: dict[str, Tensor],
     out = ad.add(ad.matmul(hidden, p["image.w2"]), _bias_rows(p["image.b2"], n))
     return ad.absolute(out)
 
-
-def encode_text(encoded, params: ModelParams) -> np.ndarray:
-    """Inference helper: one encoded sequence (or its index array) -> (j,)."""
-    ids = encoded.indices if hasattr(encoded, "indices") else np.asarray(encoded)
-    out = encode_text_batch(ids.reshape(1, -1), params.as_tracked(None))
-    return out.data[0]
-
-
-def encode_image(feature: np.ndarray, params: ModelParams,
-                 activation: str = "relu_zero_floor") -> np.ndarray:
-    """Inference helper: one feature vector -> (j,)."""
-    feat = np.asarray(feature, dtype=np.float64).reshape(1, -1)
-    out = encode_image_batch(feat, params.as_tracked(None), activation)
-    return out.data[0]

@@ -33,8 +33,8 @@ from .model import (ModelDims, ModelParams, encode_image_batch, encode_text_batc
 from .text import Vocabulary, concat_captions, encode, normalize
 
 LR_INIT_DEFAULT = 0.1
-LR_FLOOR_DEFAULT = 1e-7
 BATCH_INIT_DEFAULT = 16
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the textbook defaults
 # Elements per block of adam_step: the block's slices of its five arrays and
 # one scratch array (128 KiB each) stay in cache through the dozen passes.
 ADAM_BLOCK = 1 << 14
@@ -49,18 +49,11 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def zeros_like(cls, tensors: dict[str, np.ndarray], beta1=0.9, beta2=0.999,
-                   eps=1e-8) -> "AdamState":
-        return cls(
-            m={n: np.zeros_like(a) for n, a in tensors.items()},
-            v={n: np.zeros_like(a) for n, a in tensors.items()},
-            t=0, beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def zeros_like(cls, tensors: dict[str, np.ndarray]) -> "AdamState":
+        return cls(m={n: np.zeros_like(a) for n, a in tensors.items()},
+                   v={n: np.zeros_like(a) for n, a in tensors.items()})
 
 
 def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -73,8 +66,8 @@ def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             raise NumericsError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     t = state.t
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     tmp = np.empty(ADAM_BLOCK)  # scratch that stays in cache across blocks
     out = {}
     for name, theta in tensors.items():
@@ -87,15 +80,15 @@ def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             th, gb, mb, vb, nb = (a[lo:lo + ADAM_BLOCK] for a in flat)
             tb = tmp[:th.size]
             # The textbook order of operations, so blocking keeps every bit.
-            np.multiply(1.0 - state.beta1, gb, out=tb)
-            mb *= state.beta1
+            np.multiply(1.0 - ADAM_BETA1, gb, out=tb)
+            mb *= ADAM_BETA1
             mb += tb
-            np.multiply(1.0 - state.beta2, gb, out=tb)
+            np.multiply(1.0 - ADAM_BETA2, gb, out=tb)
             tb *= gb
-            vb *= state.beta2
+            vb *= ADAM_BETA2
             vb += tb
             np.sqrt(np.divide(vb, bc2, out=tb), out=tb)
-            tb += state.eps
+            tb += ADAM_EPS
             np.divide(mb, bc1, out=nb)
             nb *= lr
             nb /= tb  # lr * m_hat / (sqrt(v_hat) + eps)
@@ -115,7 +108,7 @@ class ScheduleState:
     epochs_since_improve: int = 0
     patience: int = 3
     tol: float = 1e-4
-    lr_floor: float = LR_FLOOR_DEFAULT
+    lr_floor: float = 1e-7
     lr_reset: float = LR_INIT_DEFAULT
     grow_cycles: int = 0
 
@@ -154,17 +147,10 @@ class TrainConfig:
     seq_len: int = 70
     seed: int = 0
     lr_init: float = LR_INIT_DEFAULT
-    lr_floor: float = LR_FLOOR_DEFAULT
     batch_size: int = BATCH_INIT_DEFAULT
-    plateau_patience: int = 3
-    plateau_tol: float = 1e-4
     max_epochs: int = 500
     max_grow_cycles: int = 3
     stop_when_perfect: bool = True
-    reset_moments_on_grow: bool = False
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     caption_mode: str = "individual"  # or "concat"
     image_activation: str = "relu_zero_floor"
 
@@ -229,12 +215,10 @@ def train(data: TrainingData, params: ModelParams, cfg: TrainConfig,
         raise ValueError("batch_size must be >= 2")
     if cfg.max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    adam = AdamState.zeros_like(params.tensors, cfg.adam_beta1, cfg.adam_beta2,
-                                cfg.adam_eps)
-    schedule = ScheduleState(
-        lr=cfg.lr_init, batch_size=cfg.batch_size, patience=cfg.plateau_patience,
-        tol=cfg.plateau_tol, lr_floor=cfg.lr_floor, lr_reset=cfg.lr_init)
-    return _train_from_state(data, params, adam, schedule, cfg, log_path)
+    schedule = ScheduleState(lr=cfg.lr_init, batch_size=cfg.batch_size,
+                             lr_reset=cfg.lr_init)
+    return _train_from_state(data, params, AdamState.zeros_like(params.tensors),
+                             schedule, cfg, log_path)
 
 
 def checkpoint_tensors(params: ModelParams, adam: AdamState,
@@ -276,15 +260,12 @@ def restore_training_state(ck: Checkpoint, dims: ModelDims, cfg: TrainConfig,
     params = ModelParams(dims, {n: read(n, s) for n, s in expected.items()})
     m, v = ({n: np.array(read(f"adam.{k}.{n}", s), dtype=np.float64)
              for n, s in expected.items()} for k in "mv")
-    adam = AdamState(m=m, v=v, t=ck.step, beta1=cfg.adam_beta1,
-                     beta2=cfg.adam_beta2, eps=cfg.adam_eps)
     schedule = ScheduleState(
         lr=ck.lr, batch_size=ck.batch_size,
         best_loss=float(read("schedule.best_loss", (1,))[0]),
         epochs_since_improve=int(read("schedule.epochs_since_improve", (1,))[0]),
-        patience=cfg.plateau_patience, tol=cfg.plateau_tol,
-        lr_floor=cfg.lr_floor, lr_reset=cfg.lr_init, grow_cycles=ck.phase)
-    return params, adam, schedule
+        lr_reset=cfg.lr_init, grow_cycles=ck.phase)
+    return params, AdamState(m, v, t=ck.step), schedule
 
 
 def resume_train(data: TrainingData, ck: Checkpoint, cfg: TrainConfig,
@@ -328,7 +309,7 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
                 val_records, data.features, data.vocab, params, cfg.seq_len,
                 protocol="full_5k", image_activation=cfg.image_activation)
             lr_logged, batch_logged = schedule.lr, schedule.batch_size
-            action = schedule_update(schedule, epoch_loss)
+            schedule_update(schedule, epoch_loss)
             entry = {
                 "epoch": epoch,
                 "loss": epoch_loss,
@@ -343,9 +324,6 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
                 sink.write(json.dumps(entry) + "\n")
                 sink.flush()
 
-            if action == "grow_batch_reset_lr" and cfg.reset_moments_on_grow:
-                adam = AdamState.zeros_like(params.tensors, cfg.adam_beta1,
-                                            cfg.adam_beta2, cfg.adam_eps)
             if (cfg.stop_when_perfect and epoch_loss == 0.0
                     and entry["val_r1_sent"] == 100.0
                     and entry["val_r1_img"] == 100.0):
@@ -361,7 +339,6 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
 
 
 def grid_search(grid: dict[str, list], data: TrainingData, base_cfg: TrainConfig,
-                init_rng_seed: int | None = None,
                 ) -> tuple[TrainConfig, list[dict]]:
     """Train one model per grid point and select by validation R@1 sum.
 
@@ -381,9 +358,8 @@ def grid_search(grid: dict[str, list], data: TrainingData, base_cfg: TrainConfig
         cfg = replace(base_cfg, **cfg_over)
         if loss_over:
             cfg = replace(cfg, loss=replace(base_cfg.loss, **loss_over))
-        seed = init_rng_seed if init_rng_seed is not None else cfg.seed
         params = ModelParams.init(
-            cfg.dims, np.random.default_rng(np.random.SeedSequence([seed, 0])))
+            cfg.dims, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])))
         # train's last epoch already scored the final params on the same records
         last = train(data, params, cfg).log[-1]
         score = last["val_r1_sent"] + last["val_r1_img"]

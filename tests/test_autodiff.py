@@ -159,6 +159,18 @@ class TestBackward:
         g = ad.backward(t, loss)
         np.testing.assert_array_equal(g[y.node_id], np.zeros(2))
 
+    def test_returns_leaf_gradients_only(self):
+        # intermediate gradients are dropped; a leaf after the loss still gets zeros
+        t = Tape()
+        x = t.leaf([1.0, 2.0])
+        y = t.leaf([[3.0]])
+        loss = ad.reduce_sum(ad.mul(ad.square(x), ad.absolute(x)))
+        z = t.leaf([4.0])
+        g = ad.backward(t, loss)
+        assert sorted(g) == [x.node_id, y.node_id, z.node_id]
+        np.testing.assert_array_equal(g[x.node_id], [3.0, 12.0])
+        np.testing.assert_array_equal(g[z.node_id], [0.0])
+
     def test_shared_node_sums_contributions(self):
         # f(x) = sum(x*x) + sum(x*c): x is used by two disjoint subgraphs.
         rng = np.random.default_rng(7)

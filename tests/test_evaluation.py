@@ -13,12 +13,11 @@ from xmodal.evaluation import (
     format_table,
     median_rank,
     metrics_from_ranks,
-    rank_gallery,
     recall_at_k,
     reports_to_json,
     retrieval_ranks,
 )
-from xmodal.loss import order_penalty
+from xmodal.loss import order_penalty, pairwise_order_penalty
 
 
 def brute_force_rank(scores, relevant):
@@ -30,18 +29,30 @@ def brute_force_rank(scores, relevant):
     raise AssertionError
 
 
+def text_query_rank(query, gallery, relevant):
+    """Rank of a caption query's best relevant image: penalty(query, item)."""
+    mask = np.isin(np.arange(len(gallery)), relevant)[None, :]
+    return best_relevant_ranks(pairwise_order_penalty(query[None, :], gallery), mask)[0]
+
+
+def image_query_rank(query, gallery, relevant):
+    """Rank of an image query's best relevant caption: penalty(item, query)."""
+    mask = np.isin(np.arange(len(gallery)), relevant)[None, :]
+    return best_relevant_ranks(pairwise_order_penalty(gallery, query[None, :]).T, mask)[0]
+
+
 class TestRankGallery:
     def test_strictly_best_item_ranks_first(self):
         gallery = np.array([[5.0, 5.0], [0.1, 0.1], [9.0, 9.0]])
         query = np.array([0.2, 0.2])
-        # text_query: S(query, item); item 1 is dominated by the query
-        assert rank_gallery(query, gallery, [1], "text_query") == 1
+        # text query: S(query, item); item 1 is dominated by the query
+        assert text_query_rank(query, gallery, [1]) == 1
 
     def test_all_tied_scores_fall_back_to_index(self):
         gallery = np.zeros((6, 3))
         query = np.ones(3)  # dominates every gallery item: all scores 0
-        assert rank_gallery(query, gallery, [4], "text_query") == 5
-        assert rank_gallery(query, gallery, [0, 4], "text_query") == 1
+        assert text_query_rank(query, gallery, [4]) == 5
+        assert text_query_rank(query, gallery, [0, 4]) == 1
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -49,14 +60,11 @@ class TestRankGallery:
             gallery = rng.uniform(0, 1.5, (100, 4))
             query = rng.uniform(0, 1.5, 4)
             relevant = rng.choice(100, size=5, replace=False)
-            for direction in ("text_query", "image_query"):
-                if direction == "text_query":
-                    scores = [-order_penalty(query, g) for g in gallery]
-                else:
-                    scores = [-order_penalty(g, query) for g in gallery]
+            for rank, penalty in ((text_query_rank, lambda g: order_penalty(query, g)),
+                                  (image_query_rank, lambda g: order_penalty(g, query))):
+                scores = [-penalty(g) for g in gallery]
                 want = brute_force_rank(scores, set(relevant.tolist()))
-                got = rank_gallery(query, gallery, relevant, direction)
-                assert got == want
+                assert rank(query, gallery, relevant) == want
 
     def test_infinite_penalties_still_rank_by_index(self):
         # the relevant item ties an irrelevant one at an infinite penalty
@@ -64,17 +72,13 @@ class TestRankGallery:
         relevant = np.array([[False, False, True]])
         assert best_relevant_ranks(pen, relevant)[0] == brute_force_rank(-pen[0], {2})
 
-    def test_empty_relevant_rejected(self):
-        with pytest.raises(ValueError, match="relevant"):
-            rank_gallery(np.ones(2), np.ones((3, 2)), [], "text_query")
-
     def test_direction_matters(self):
         gallery = np.array([[2.0, 2.0], [0.1, 0.1]])
         query = np.array([1.0, 1.0])
         # as a text query, item 1 (small) is dominated: rank 1
-        assert rank_gallery(query, gallery, [1], "text_query") == 1
+        assert text_query_rank(query, gallery, [1]) == 1
         # as an image query, item 0 (big text) dominates the query: rank 1
-        assert rank_gallery(query, gallery, [0], "image_query") == 1
+        assert image_query_rank(query, gallery, [0]) == 1
 
 
 class TestRecallAndMedian:
@@ -130,9 +134,9 @@ class TestRankInvariants:
             gallery = rng.uniform(0, 1, (30, 3))
             query = rng.uniform(0, 1, 3)
             rel = [int(rng.integers(0, 30))]
-            base = rank_gallery(query, gallery, rel, "text_query")
+            base = text_query_rank(query, gallery, rel)
             extra = rng.uniform(0, 1, (10, 3))
-            grown = rank_gallery(query, np.vstack([gallery, extra]), rel, "text_query")
+            grown = text_query_rank(query, np.vstack([gallery, extra]), rel)
             assert grown >= base
 
     def test_random_scores_give_uniform_best_rank(self):

@@ -1,5 +1,8 @@
 """Loader and serialization round-trip tests."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,16 @@ class TestDataset:
         with pytest.raises(DataFormatError, match=":2:"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("line", [
+        "5", "null", '"text"', '["a"]',
+        '{"id": 5, "feature_ref": "f1", "captions": ["c"]}',
+        '{"id": "r2", "feature_ref": 7, "captions": ["c"]}',
+    ], ids=["number", "null", "string", "list", "numeric-id", "numeric-feature-ref"])
+    def test_non_object_or_non_string_key_rejected(self, tmp_path, line):
+        p = self.write(tmp_path, ['{"id": "r1", "feature_ref": "f1", "captions": ["c"]}', line])
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{p}:2: ")):
+            load_dataset(p)
+
     def test_empty_captions_rejected(self, tmp_path):
         p = self.write(tmp_path, ['{"id": "r1", "feature_ref": "f1", "captions": []}'])
         with pytest.raises(DataFormatError, match="non-empty"):
@@ -244,6 +257,18 @@ class TestCheckpoint:
         p.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("shape", [(65536,) * 4, (2**21,) * 3],
+                             ids=["product-wraps-to-0", "product-wraps-negative"])
+    def test_huge_extents_rejected_as_truncated(self, tmp_path, shape):
+        # the element count overflows int64; it must not wrap to a small number
+        p = tmp_path / "ckpt.bin"
+        header = struct.pack(f"<IIH1sB{len(shape)}I", 1, 1, 1, b"w", len(shape), *shape)
+        p.write_bytes(header + bytes(64) + struct.pack("<QdIB", 0, 0.1, 16, 0))
+        with pytest.raises(DataFormatError) as err:
+            load_checkpoint(p)
+        assert type(err.value) is DataFormatError
+        assert str(err.value) == f"{p}: truncated data of 'w' at offset {len(header)}"
 
     def test_truncation_rejected(self, tmp_path):
         p = tmp_path / "ckpt.bin"

@@ -14,7 +14,6 @@ from xmodal.loss import (
     order_penalty,
     pairwise_order_penalty,
     similarity,
-    similarity_matrix,
     variance_term,
 )
 
@@ -133,9 +132,9 @@ class TestPairwise:
             for k in range(3):
                 assert E[i, k] == pytest.approx(order_penalty(X[i], Y[k]), abs=1e-14)
 
-    def test_similarity_matrix_nonpositive(self):
+    def test_negated_penalty_matrix_nonpositive(self):
         rng = np.random.default_rng(4)
-        S = similarity_matrix(rng.uniform(0, 1, (5, 4)), rng.uniform(0, 1, (5, 4)))
+        S = -pairwise_order_penalty(rng.uniform(0, 1, (5, 4)), rng.uniform(0, 1, (5, 4)))
         assert np.all(S <= 0)
 
 
@@ -227,7 +226,7 @@ class TestBatchLoss:
         for _ in range(100):
             txt = rng.uniform(0.0, 2.0, (n, j))
             img = rng.uniform(0.0, 2.0, (n, j))
-            S = similarity_matrix(txt, img)
+            S = -pairwise_order_penalty(txt, img)
             ok = True
             for i in range(n):
                 for r in range(n):

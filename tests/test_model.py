@@ -188,7 +188,7 @@ class TestEncodeImage:
         f = np.array([1.0, 2.0])
         # layer 1: f @ w1 + b1 = [5.5, -0.25] -> relu -> [5.5, 0]
         # layer 2: [5.5, 0] @ w2 + b2 = [-4.5, 11.5] -> abs -> [4.5, 11.5]
-        out = model.encode_image(f, params)
+        out = model.encode_image_batch(f[None], params.as_tracked(None)).data[0]
         np.testing.assert_allclose(out, [4.5, 11.5], atol=1e-12)
 
     def test_identity_activation(self):
@@ -201,7 +201,8 @@ class TestEncodeImage:
         params = ModelParams(dims, tensors)
         f = np.array([1.0, 2.0])
         # hidden stays [5.5, -0.25]; layer 2 gives [-5.25, 11.75]
-        out = model.encode_image(f, params, activation="identity")
+        out = model.encode_image_batch(f[None], params.as_tracked(None),
+                                       activation="identity").data[0]
         np.testing.assert_allclose(out, [5.25, 11.75], atol=1e-12)
 
     def test_feature_dim_mismatch_rejected(self):

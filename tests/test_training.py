@@ -69,7 +69,7 @@ class TestAdam:
             want = want - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
 
         tensors = {"w": theta}
-        state = AdamState.zeros_like(tensors, b1, b2, eps)
+        state = AdamState.zeros_like(tensors)
         moments = state.m["w"], state.v["w"]
         out = adam_step(tensors, {"w": g1}, state, lr)
         out = adam_step(out, {"w": g2}, state, lr)
