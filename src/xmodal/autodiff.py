@@ -13,20 +13,28 @@ Primitive op kinds:
 
 lstm(E, W, U, b, ids) is a whole single-layer LSTM as one node: E is the
 embedding, meta["ids"] the (B, L) token rows, and W (e, 4h), U (h, 4h) and
-b (1, 4h) hold the gates side by side in GATES order. Each gate is computed
-on column views, which reach BLAS uncopied and keep temporaries at (B, h):
-one (B, 4h) product would cross glibc's mmap threshold at eval batch sizes.
-The scan looks up step t's rows inside the loop and returns the last h. A
-tape-free forward keeps only the current (h, c), so it holds no (B, L, e)
-input or per-step state. Recorded on a tape, the forward also keeps each
-step's gates and the (L+1, B, h) cells and hiddens in meta["saved"]; the VJP
-pops them off the node, so they are freed as it returns, runs
+b (1, 4h) hold the gates side by side in GATES order. The input projection
+E[t] @ W is formed once per distinct token t in ids, as one GEMM; step t
+gathers its rows of it into a (B, 4h) gate buffer through the inverse index,
+adds h @ U and b there, and activates each gate's column block in place.
+The scan returns the last h. A tape-free forward runs in blocks of at most
+LSTM_BLOCK captions, so its per-step buffers stay in cache, and keeps only
+the current (h, c) and one gate buffer per block.
+Recorded on a tape, the forward writes each step's gates into an (L, B, 4h)
+array and keeps it with the (L+1, B, h) cells and hiddens in meta["saved"];
+the VJP pops them off the node, so they are freed as it returns, runs
 backpropagation through time on them and forms each gradient as one GEMM,
 sum or np.add.at over all steps.
 
 order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
-and (M, j) rows as one node; both passes loop over the rows of Y, so neither
-builds an (N, M, j) intermediate.
+and (M, j) rows as one node, built without an (N, M, j) intermediate. The
+forward splits the rows of X into blocks whose (rows, j) slab fits in L2
+(PENALTY_BLOCK_BYTES); each block loops over the rows of Y and writes its
+own rows of the result. Several blocks run on a thread pool sized to the
+CPUs the process may use, since numpy releases the GIL inside ufuncs; a
+training batch is one block and runs on the calling thread. Every entry is
+computed the same way whatever the blocking, so the bits do not depend on it.
+The backward loops over the rows of Y against the whole of X.
 
 Subgradient conventions: relu_zero_floor, abs and order_penalty (where
 Y[k, d] == X[i, d]) use 0 at the kink.
@@ -34,12 +42,20 @@ Y[k, d] == X[i, d]) use 0 at the kink.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 GATES = ("i", "f", "g", "o")  # column blocks of the lstm op's w, u and b
+LSTM_BLOCK = 512  # captions per block of the tape-free lstm scan
+PENALTY_BLOCK_BYTES = 1 << 20  # size of the slab of X rows one order_penalty block holds
+
+# Runs the order_penalty forward's blocks; threads start on first use.
+_POOL = ThreadPoolExecutor(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 class ShapeError(ValueError):
@@ -174,12 +190,32 @@ def _bw_mean(node, g):
     return (np.full(x.shape, float(g) / x.size),)
 
 
-def _fw_order_penalty(x, y, meta):
-    out = np.empty((x.shape[0], y.shape[0]))
+def _blocks(n: int, size: int) -> list[slice]:
+    """Slices of near-equal length, at most `size` (and at least 1), covering range(n).
+
+    Equal lengths keep a last block from shrinking to one row, which numpy
+    would hand to gemv rather than gemm, with different rounding.
+    """
+    count = max(1, -(-n // max(1, size)))
+    edges = [n * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _order_penalty_rows(x, y, out):
     slab = np.empty_like(x)  # reused for every k instead of fresh temporaries
     for k in range(y.shape[0]):
         np.maximum(np.subtract(y[k], x, out=slab), 0.0, out=slab)
         out[:, k] = np.sum(np.square(slab, out=slab), axis=1)
+
+
+def _fw_order_penalty(x, y, meta):
+    out = np.empty((x.shape[0], y.shape[0]))
+    blocks = _blocks(x.shape[0], PENALTY_BLOCK_BYTES // (x.itemsize * max(1, x.shape[1])))
+    if len(blocks) == 1:
+        _order_penalty_rows(x, y, out)
+    else:
+        for job in [_POOL.submit(_order_penalty_rows, x[r], y, out[r]) for r in blocks]:
+            job.result()
     return out
 
 
@@ -196,26 +232,33 @@ def _bw_order_penalty(node, g):
 
 def _fw_sigmoid(x, out=None):
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never overflows.
-    ex = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, ex), 1.0 + ex, out=out)
+    ex = np.abs(x)
+    np.exp(np.negative(ex, out=ex), out=ex)
+    num = np.maximum(ex, x >= 0)  # 1 where x >= 0, since e^-|x| <= 1 there
+    return np.divide(num, np.add(ex, 1.0, out=ex), out=out)
 
 
-def _lstm_steps(emb, w, u, b, ids, gates=None):
+def _lstm_steps(xw, u, b, inv, gates=None):
     """Yield each step's new state (c, h), starting from zero state.
 
-    Step t reads the rows ids[:, t] of `emb`. Each gate is its own
-    x @ w_k + h @ u_k + b_k on the k-th column views. Given an (L, B, 4h)
-    `gates`, step t's activated gates i f g o are written into the column
-    blocks of gates[t]; otherwise each is a fresh (B, h) array.
+    Step t gathers the rows inv[:, t] of the input projections `xw` into
+    its gate buffer, adds h @ u and b there and activates each gate's
+    column block in place. The buffer is gates[t] of an (L, B, 4h) `gates`,
+    which then holds every step's activated gates i f g o, or else one
+    (B, 4h) array reused by every step.
     """
-    blocks = list(zip(*(np.split(a, 4, axis=1) for a in (w, u, b))))
-    acts = (_fw_sigmoid, _fw_sigmoid, np.tanh, _fw_sigmoid)
-    h = c = np.zeros((ids.shape[0], u.shape[0]))
-    for t in range(ids.shape[1]):
-        x = emb[ids[:, t]]
-        outs = np.split(gates[t], 4, axis=1) if gates is not None else (None,) * 4
-        i, f, g, o = (act(x @ wk + h @ uk + bk, out=out)
-                      for act, (wk, uk, bk), out in zip(acts, blocks, outs))
+    n, hid = inv.shape[0], u.shape[0]
+    buf = np.empty((n, 4 * hid)) if gates is None else None
+    h = c = np.zeros((n, hid))
+    for t in range(inv.shape[1]):
+        # inv is in range; mode="clip" lets take write into z unbuffered
+        z = xw.take(inv[:, t], axis=0, out=buf if gates is None else gates[t], mode="clip")
+        z += h @ u
+        z += b
+        i, f, g, o = np.split(z, 4, axis=1)
+        _fw_sigmoid(z[:, :2 * hid], out=z[:, :2 * hid])  # i and f, side by side
+        np.tanh(g, out=g)
+        _fw_sigmoid(o, out=o)
         c = f * c + i * g
         h = o * np.tanh(c)
         yield c, h
@@ -225,17 +268,24 @@ def _fw_lstm(emb, w, u, b, meta):
     ids = meta["ids"]
     n, steps = ids.shape
     hid = u.shape[0]
-    h = np.zeros((n, hid))
+    # the input projection of each distinct token, and each position's row of it
+    tokens, inv = np.unique(ids, return_inverse=True)
+    xw, inv = emb[tokens] @ w, inv.reshape(ids.shape)
     if "saved" not in meta:  # tape-free: only the current state is kept
-        for _, h in _lstm_steps(emb, w, u, b, ids):
-            pass
-        return h
+        out = np.zeros((n, hid))  # the state after zero steps
+        for rows in _blocks(n, LSTM_BLOCK):
+            h = out[rows]
+            for _, h in _lstm_steps(xw, u, b, inv[rows]):
+                pass
+            out[rows] = h
+        return out
     # Recorded: keep per step the gates and the states for the VJP; step t
     # starts from cells[t] and hiddens[t].
     gates = np.empty((steps, n, 4 * hid))
     cells = np.zeros((steps + 1, n, hid))
     hiddens = np.zeros((steps + 1, n, hid))
-    for t, (c, h) in enumerate(_lstm_steps(emb, w, u, b, ids, gates)):
+    h = np.zeros((n, hid))
+    for t, (c, h) in enumerate(_lstm_steps(xw, u, b, inv, gates)):
         cells[t + 1], hiddens[t + 1] = c, h
     meta["saved"].update(gates=gates, cells=cells, hiddens=hiddens)
     return h  # a fresh array, not a view that would keep `hiddens` alive

@@ -47,7 +47,12 @@ def best_relevant_ranks(penalties: np.ndarray, relevant: np.ndarray) -> np.ndarr
     the lowest index among equals, and its rank is
 
         1 + #(penalty < penalty[g]) + #(penalty == penalty[g] and index < g)
+
+    Raises ValueError when a query has no relevant item, which has no rank.
     """
+    unranked = np.count_nonzero(~relevant.any(axis=1))
+    if unranked:
+        raise ValueError(f"{unranked} of {len(relevant)} queries have no relevant item")
     best = np.min(np.where(relevant, penalties, np.inf), axis=1, keepdims=True)
     tied = penalties == best
     g_best = np.argmax(relevant & tied, axis=1)[:, None]

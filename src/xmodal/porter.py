@@ -16,6 +16,8 @@ fails the step ends without rewriting (no fallthrough to shorter suffixes).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -184,6 +186,7 @@ def _step5(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=1 << 16)  # captions repeat a small vocabulary
 def stem(word: str) -> str:
     """Stem one lowercase token."""
     if len(word) <= 2:

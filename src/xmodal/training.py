@@ -185,6 +185,9 @@ def prepare_pairs(records, features: FeatureTable, vocab: Vocabulary,
     ids, feats = [], []
     for rec in records:
         caps = [concat_captions(rec.captions)] if caption_mode == "concat" else rec.captions
+        if rec.feature_ref not in features:
+            raise DataFormatError(
+                f"record {rec.id!r} references unknown feature {rec.feature_ref!r}")
         for cap in caps:
             ids.append(encode(normalize(cap), vocab, seq_len).indices)
             feats.append(features[rec.feature_ref].astype(np.float64))

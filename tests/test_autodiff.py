@@ -276,6 +276,60 @@ class TestLstmKeepsItsForward:
         assert [set(m) for m in metas] == [{"ids"}]
 
 
+class TestBlockedKernels:
+    """The blocked order_penalty and tape-free lstm forwards give the same bits
+    as one block: every entry is computed the same way whatever the blocking."""
+
+    @pytest.mark.parametrize("n, size", [(0, 4), (1, 4), (4, 4), (5, 4), (11, 4), (9, 2)])
+    def test_blocks_cover_rows_in_near_equal_slices(self, n, size):
+        blocks = ad._blocks(n, size)
+        lengths = [r.stop - r.start for r in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
+        assert len(blocks) == max(1, -(-n // size))
+
+    @pytest.mark.parametrize("n, m, j, rows", [
+        (11, 7, 5, 4),   # blocks of 3, 4 and 4 rows
+        (3, 6, 4, 8),    # fewer rows than one block
+        (9, 5, 1, 2),    # j = 1
+    ], ids=["ragged", "under-one-block", "j1"])
+    def test_order_penalty_blocks_on_the_pool_match_one_block(self, monkeypatch, n, m, j, rows):
+        rng = np.random.default_rng(21)
+        x, y = np.abs(rng.normal(size=(n, j))), np.abs(rng.normal(size=(m, j)))
+        want = ad.order_penalty(Tensor.const(x), Tensor.const(y)).data
+
+        submitted = []
+        pool = ad._POOL
+
+        class CountingPool:
+            def submit(self, fn, *args):
+                submitted.append(args[0].shape[0])
+                return pool.submit(fn, *args)
+
+        monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", rows * j * 8)
+        monkeypatch.setattr(ad, "_POOL", CountingPool())
+        got = ad.order_penalty(Tensor.const(x), Tensor.const(y)).data
+        assert np.array_equal(got, want)
+        blocks = [r.stop - r.start for r in ad._blocks(n, rows)]
+        assert submitted == (blocks if len(blocks) > 1 else [])
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 100])
+    def test_blocked_tape_free_lstm_matches_taped(self, monkeypatch, block):
+        rng = np.random.default_rng(22)
+        params = _lstm_params(rng, vocab=9, e=5, h=3)
+        ids = rng.integers(1, 9, size=(11, 6))
+        ids[:, 4:] = 0          # trailing padding
+        ids[3:6] = ids[0]       # repeated captions
+        ids[7, :] = 2           # one token throughout
+        tape = Tape()
+        want = ad.lstm(*(tape.leaf(a) for a in params), ids).data
+
+        monkeypatch.setattr(ad, "LSTM_BLOCK", block)
+        got = ad.lstm(*(Tensor.const(a) for a in params), ids).data
+        assert np.array_equal(got, want)
+
+
 def _lstm_params(rng, vocab, e, h):
     """An embedding and the fused weights w (e, 4h), u (h, 4h) and b (1, 4h)."""
     shapes = [(e, 4 * h), (h, 4 * h), (1, 4 * h)]

@@ -72,6 +72,11 @@ class TestRankGallery:
         relevant = np.array([[False, False, True]])
         assert best_relevant_ranks(pen, relevant)[0] == brute_force_rank(-pen[0], {2})
 
+    def test_query_without_relevant_item_is_rejected(self):
+        relevant = np.array([[True, False], [False, False], [False, False]])
+        with pytest.raises(ValueError, match="2 of 3 queries"):
+            best_relevant_ranks(np.zeros((3, 2)), relevant)
+
     def test_direction_matters(self):
         gallery = np.array([[2.0, 2.0], [0.1, 0.1]])
         query = np.array([1.0, 1.0])
@@ -207,6 +212,13 @@ class TestProtocols:
         assert sr.folds[0].n_queries == 1000
         ir = reports["image_retrieval"]
         assert ir.folds[0].n_queries == 2000  # 1000 images x 2 captions
+
+    def test_image_without_caption_is_rejected(self):
+        # image 1 owns no caption, so it has no rank to report
+        v_img = np.eye(3)
+        v_txt = np.eye(3)[[0, 2]] + 0.5
+        with pytest.raises(ValueError, match="1 of 3 queries have no relevant item"):
+            evaluate_embeddings(v_img, v_txt, np.array([0, 2]), "full_5k")
 
     def test_folds_reject_small_sets(self):
         with pytest.raises(ValueError, match="folds_1k"):

@@ -412,6 +412,13 @@ class TestPreparePairs:
         ids_cat, feats_cat = prepare_pairs(recs, data.features, data.vocab, 6, "concat")
         assert len(ids_cat) == 2
 
+    def test_missing_feature_names_the_record(self, small_training_setup):
+        data, _ = small_training_setup
+        recs = [data.records[0], DatasetRecord("rec-7", "missing", ["one cap"])]
+        with pytest.raises(DataFormatError,
+                           match="record 'rec-7' references unknown feature 'missing'"):
+            prepare_pairs(recs, data.features, data.vocab, 6)
+
     def test_unknown_mode(self, small_training_setup):
         data, _ = small_training_setup
         with pytest.raises(ValueError, match="caption_mode"):
