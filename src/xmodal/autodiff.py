@@ -33,7 +33,9 @@ forward splits the rows of X into blocks whose (rows, j) slab fits in L2
 own rows of the result. Several blocks run on a thread pool sized to the
 CPUs the process may use, since numpy releases the GIL inside ufuncs; a
 training batch is one block and runs on the calling thread. Every entry is
-computed the same way whatever the blocking, so the bits do not depend on it.
+computed the same way whatever the blocking, so the bits do not depend on it;
+order_penalty_pairs computes the penalty of row i of X against row i of Y
+the same way, so it equals the matrix's (i, i) entry bit for bit.
 The backward loops over the rows of Y against the whole of X.
 
 Subgradient conventions: relu_zero_floor, abs and order_penalty (where
@@ -52,10 +54,11 @@ import numpy as np
 GATES = ("i", "f", "g", "o")  # column blocks of the lstm op's w, u and b
 LSTM_BLOCK = 512  # captions per block of the tape-free lstm scan
 PENALTY_BLOCK_BYTES = 1 << 20  # size of the slab of X rows one order_penalty block holds
+POOL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)  # CPUs the process may use
 
 # Runs the order_penalty forward's blocks; threads start on first use.
-_POOL = ThreadPoolExecutor(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(POOL_WORKERS)
 
 
 class ShapeError(ValueError):
@@ -201,16 +204,36 @@ def _blocks(n: int, size: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
+def _penalty_block_rows(x) -> int:
+    return max(1, PENALTY_BLOCK_BYTES // (x.itemsize * max(1, x.shape[1])))
+
+
+def penalty_round_rows(x) -> int:
+    """Rows of X that the order_penalty forward splits into one block per pool thread."""
+    return POOL_WORKERS * _penalty_block_rows(x)
+
+
+def _penalty_sums(diff):
+    """Row sums of max(0, diff)^2, formed in diff's own storage."""
+    np.maximum(diff, 0.0, out=diff)
+    return np.sum(np.square(diff, out=diff), axis=1)
+
+
 def _order_penalty_rows(x, y, out):
     slab = np.empty_like(x)  # reused for every k instead of fresh temporaries
     for k in range(y.shape[0]):
-        np.maximum(np.subtract(y[k], x, out=slab), 0.0, out=slab)
-        out[:, k] = np.sum(np.square(slab, out=slab), axis=1)
+        out[:, k] = _penalty_sums(np.subtract(y[k], x, out=slab))
+
+
+def order_penalty_pairs(x, y) -> np.ndarray:
+    """Entry i = ||max(0, Y[i] - X[i])||^2 of two (N, j) arrays, with the bits of
+    the order_penalty matrix's entries: both share _penalty_sums' arithmetic."""
+    return _penalty_sums(np.subtract(y, x))
 
 
 def _fw_order_penalty(x, y, meta):
     out = np.empty((x.shape[0], y.shape[0]))
-    blocks = _blocks(x.shape[0], PENALTY_BLOCK_BYTES // (x.itemsize * max(1, x.shape[1])))
+    blocks = _blocks(x.shape[0], _penalty_block_rows(x))
     if len(blocks) == 1:
         _order_penalty_rows(x, y, out)
     else:

@@ -1,14 +1,34 @@
 """Retrieval evaluation: Recall@K and median rank in both directions.
 
-Galleries are ranked by similarity descending (penalty increasing); the
-tie rule is stated once, on `best_relevant_ranks`. A query with several
-relevant items scores the best (minimum) rank among them.
-
 Directions follow the usual convention: "sentence retrieval" queries with
 an image against the caption gallery, "image retrieval" queries with a
 caption against the image gallery. The folds_1k protocol splits the first
 5000 images into folds of 1000 in record order and reports each fold plus
 the mean.
+
+A gallery is ordered by penalty ascending (similarity descending), ties by
+ascending gallery index. A query with several relevant items scores the best
+of them: the one with the lowest penalty `best`, and the lowest index `first`
+among equals. Its 1-based rank is
+
+    1 + #(penalty < best) + #(penalty == best and index < first)
+
+`retrieval_ranks` counts this for both directions without holding the
+(captions, images) penalty matrix:
+
+- A relevant pass computes each caption's penalty against its own image with
+  `paired_order_penalty`, whose bits equal the matrix entry's. That is the
+  caption's `best`, and its image is its `first`. Each image's `best` is the
+  least of its captions' penalties, its `first` the lowest caption index
+  holding that value.
+- A streamed pass forms the matrix one (chunk, images) slab at a time. Each
+  caption's count runs along its slab row; each image's counts down the
+  slab's columns are added to a running total. Then the slab is dropped.
+
+A slab holds at most RANK_SLAB_BYTES, but never less than one round of the
+order-penalty thread pool: a chunk is a whole number of rounds of one
+PENALTY_BLOCK_BYTES block per pool thread, so no core waits on an odd last
+block. Memory is O(chunk x images), and the ranks equal the full matrix's.
 """
 
 from __future__ import annotations
@@ -18,12 +38,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loss import pairwise_order_penalty
+from .autodiff import penalty_round_rows
+from .loss import paired_order_penalty, pairwise_order_penalty
 from .model import ModelParams, encode_image_batch, encode_text_batch
 from .text import Vocabulary, encode, normalize
 
 RECALL_KS = (1, 5, 10)
 FOLD_SIZE = 1000
+RANK_SLAB_BYTES = 8 << 20  # budget for one (captions, images) slab of the streamed ranking
 
 
 @dataclass
@@ -37,27 +59,19 @@ class Metrics:
                 f"{self.med_r:7.1f}")
 
 
-def best_relevant_ranks(penalties: np.ndarray, relevant: np.ndarray) -> np.ndarray:
-    """1-based rank of each query's best relevant gallery item.
+def count_ahead(penalties: np.ndarray, best: np.ndarray, first: np.ndarray,
+                start: int = 0) -> np.ndarray:
+    """Per query row: the gallery items ranked ahead of its best relevant one.
 
-    Row q of `penalties` scores query q against the whole gallery; the
-    boolean `relevant` has the same shape and at least one True per row.
-    A gallery is ordered by penalty ascending, ties by ascending gallery
-    index, so the best relevant item g is the one with the lowest penalty,
-    the lowest index among equals, and its rank is
-
-        1 + #(penalty < penalty[g]) + #(penalty == penalty[g] and index < g)
-
-    Raises ValueError when a query has no relevant item, which has no rank.
+    Row q of `penalties` scores query q against gallery items start,
+    start + 1, ...; best[q] and first[q] are the penalty and gallery index
+    of its best relevant item. The counts over the parts of a gallery, plus
+    one, give the rank stated in the module docstring.
     """
-    unranked = np.count_nonzero(~relevant.any(axis=1))
-    if unranked:
-        raise ValueError(f"{unranked} of {len(relevant)} queries have no relevant item")
-    best = np.min(np.where(relevant, penalties, np.inf), axis=1, keepdims=True)
-    tied = penalties == best
-    g_best = np.argmax(relevant & tied, axis=1)[:, None]
-    earlier = np.arange(penalties.shape[1]) < g_best
-    return 1 + np.sum(penalties < best, axis=1) + np.sum(tied & earlier, axis=1)
+    best = best[:, None]
+    index = np.arange(start, start + penalties.shape[1])
+    return (np.sum(penalties < best, axis=1)
+            + np.sum((penalties == best) & (index < first[:, None]), axis=1))
 
 
 def recall_at_k(best_ranks, k: int) -> float:
@@ -85,17 +99,64 @@ def metrics_from_ranks(best_ranks) -> Metrics:
     )
 
 
+def _caption_owners(cap_owner, n_caps: int, n_imgs: int) -> np.ndarray:
+    """cap_owner as image indices, after checking it names an image per caption
+    and a caption per image."""
+    owner = np.asarray(cap_owner)
+    if owner.shape != (n_caps,):
+        raise ValueError(f"cap_owner has shape {owner.shape}; "
+                         f"{n_caps} captions need shape ({n_caps},)")
+    if owner.dtype.kind not in "iuf":
+        raise ValueError(f"cap_owner holds {owner.dtype}, not image indices")
+    bad = ~((owner >= 0) & (owner < n_imgs) & (owner == np.floor(owner)))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"caption row {row}: owner {owner[row]} is not an "
+                         f"image index in [0, {n_imgs})")
+    owner = owner.astype(np.intp)
+    unowned = np.flatnonzero(np.bincount(owner, minlength=n_imgs) == 0)
+    if unowned.size:
+        raise ValueError(f"{unowned.size} of {n_imgs} queries have no relevant item "
+                         f"(image {unowned[0]} owns no caption)")
+    return owner
+
+
 def retrieval_ranks(v_txt: np.ndarray, v_img: np.ndarray,
                     cap_owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best ranks for both directions from embedding matrices.
+    """Best ranks for both directions from embedding matrices, streamed over
+    caption chunks as the module docstring describes.
 
     v_txt: (n_caps, j) caption embeddings; v_img: (n_imgs, j); cap_owner maps
     caption row -> owning image row. Returns (sentence_ranks per image,
-    image_ranks per caption).
+    image_ranks per caption). Raises ValueError, before any penalty is
+    formed, when an owner is not an image index (naming the first such
+    caption row) or an image owns no caption.
     """
-    penalties = pairwise_order_penalty(v_txt, v_img)  # (n_caps, n_imgs)
-    owns = np.asarray(cap_owner)[:, None] == np.arange(len(v_img))
-    return best_relevant_ranks(penalties.T, owns.T), best_relevant_ranks(penalties, owns)
+    v_txt = np.asarray(v_txt, dtype=np.float64)
+    v_img = np.asarray(v_img, dtype=np.float64)
+    n_caps, n_imgs = len(v_txt), len(v_img)
+    owner = _caption_owners(cap_owner, n_caps, n_imgs)
+    round_rows = penalty_round_rows(v_txt)
+    rows = round_rows * max(1, RANK_SLAB_BYTES // (8 * max(1, n_imgs) * round_rows))
+    chunks = [slice(lo, lo + rows) for lo in range(0, n_caps, rows)]
+
+    cap_best = np.empty(n_caps)
+    for r in chunks:
+        cap_best[r] = paired_order_penalty(v_txt[r], v_img[owner[r]])
+    img_best = np.full(n_imgs, np.inf)
+    np.minimum.at(img_best, owner, cap_best)
+    holders = np.flatnonzero(cap_best == img_best[owner])
+    img_first = np.full(n_imgs, n_caps)
+    np.minimum.at(img_first, owner[holders], holders)
+
+    s_ranks = np.ones(n_imgs, dtype=np.int64)
+    i_ranks = np.ones(n_caps, dtype=np.int64)
+    for r in chunks:
+        slab = pairwise_order_penalty(v_txt[r], v_img)  # (chunk, n_imgs)
+        i_ranks[r] += count_ahead(slab, cap_best[r], owner[r])
+        s_ranks += count_ahead(slab.T, img_best, img_first, r.start)
+        del slab  # before the next one is formed
+    return s_ranks, i_ranks
 
 
 def encode_corpus(records, features, vocab: Vocabulary, params: ModelParams,

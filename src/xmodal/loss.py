@@ -71,15 +71,27 @@ def variance_term(v) -> float:
     return float(np.mean((v - np.mean(v)) ** 2))
 
 
-def pairwise_order_penalty(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
-    """Penalty matrix: entry (i, k) = order_penalty(x_rows[i], y_rows[k])."""
+def _penalty_rows(name: str, x_rows, y_rows) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x_rows, dtype=np.float64)
     y = np.asarray(y_rows, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ShapeError(
-            f"pairwise_order_penalty: shapes {x.shape} and {y.shape} incompatible"
-        )
+        raise ShapeError(f"{name}: shapes {x.shape} and {y.shape} incompatible")
+    return x, y
+
+
+def pairwise_order_penalty(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+    """Penalty matrix: entry (i, k) = order_penalty(x_rows[i], y_rows[k])."""
+    x, y = _penalty_rows("pairwise_order_penalty", x_rows, y_rows)
     return ad.order_penalty(Tensor.const(x), Tensor.const(y)).data
+
+
+def paired_order_penalty(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+    """Entry i = order_penalty(x_rows[i], y_rows[i]), bit-equal to the entry
+    pairwise_order_penalty gives for the same two rows."""
+    x, y = _penalty_rows("paired_order_penalty", x_rows, y_rows)
+    if len(x) != len(y):
+        raise ShapeError(f"paired_order_penalty: {len(x)} rows against {len(y)}")
+    return ad.order_penalty_pairs(x, y)
 
 
 def _row_variances(rows: Tensor) -> Tensor:

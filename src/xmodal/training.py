@@ -41,7 +41,7 @@ ADAM_BLOCK = 1 << 14
 
 
 class NumericsError(RuntimeError):
-    """A loss or gradient went non-finite; the run must abort."""
+    """An embedding batch, loss or gradient went non-finite; the run must abort."""
 
 
 @dataclass
@@ -202,6 +202,9 @@ def _batch_step(token_ids, feats, params: ModelParams, cfg: TrainConfig,
     tracked = params.as_tracked(tape)
     v_txt = encode_text_batch(token_ids, tracked)
     v_img = encode_image_batch(feats, tracked, cfg.image_activation)
+    for branch, v in (("text", v_txt), ("image", v_img)):
+        if not np.isfinite(v.data).all():
+            raise NumericsError(f"non-finite {branch} embedding batch")
     loss_t = batch_loss(v_txt, v_img, cfg.loss)
     if not np.isfinite(loss_t.data):
         raise NumericsError(f"non-finite batch loss {float(loss_t.data)!r}")

@@ -1,14 +1,18 @@
 """Ranking and metric tests against sort-based brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from xmodal import autodiff as ad
+from xmodal import evaluation as ev
 from xmodal.evaluation import (
     Metrics,
-    best_relevant_ranks,
+    count_ahead,
     evaluate_embeddings,
     format_table,
     median_rank,
@@ -27,6 +31,19 @@ def brute_force_rank(scores, relevant):
         if g in relevant:
             return pos
     raise AssertionError
+
+
+def best_relevant_ranks(penalties, relevant):
+    """Ranks from a whole (queries, gallery) penalty matrix.
+
+    The best relevant item of each row is found by masking the matrix, and
+    the rank is counted by `count_ahead`: the full-matrix reference that the
+    streamed `retrieval_ranks` must equal.
+    """
+    assert relevant.any(axis=1).all()
+    best = np.min(np.where(relevant, penalties, np.inf), axis=1)
+    first = np.argmax(relevant & (penalties == best[:, None]), axis=1)
+    return 1 + count_ahead(penalties, best, first)
 
 
 def text_query_rank(query, gallery, relevant):
@@ -73,9 +90,9 @@ class TestRankGallery:
         assert best_relevant_ranks(pen, relevant)[0] == brute_force_rank(-pen[0], {2})
 
     def test_query_without_relevant_item_is_rejected(self):
-        relevant = np.array([[True, False], [False, False], [False, False]])
+        # images 1 and 2 own no caption, so as queries they have no rank
         with pytest.raises(ValueError, match="2 of 3 queries"):
-            best_relevant_ranks(np.zeros((3, 2)), relevant)
+            retrieval_ranks(np.zeros((2, 2)), np.zeros((3, 2)), np.array([0, 0]))
 
     def test_direction_matters(self):
         gallery = np.array([[2.0, 2.0], [0.1, 0.1]])
@@ -237,3 +254,114 @@ class TestProtocols:
                               "medr", "n_queries", "folds"}
         table = format_table(reports)
         assert "Sentence Retrieval" in table and "Image Retrieval" in table
+
+
+def full_matrix_ranks(v_txt, v_img, owner):
+    pen = pairwise_order_penalty(v_txt, v_img)
+    owns = np.asarray(owner)[:, None] == np.arange(len(v_img))
+    return best_relevant_ranks(pen.T, owns.T), best_relevant_ranks(pen, owns)
+
+
+def slab_rows_spy(monkeypatch):
+    """Record the row count of every slab retrieval_ranks asks for."""
+    rows = []
+    kernel = ev.pairwise_order_penalty
+
+    def spy(x, y):
+        rows.append(len(x))
+        return kernel(x, y)
+    monkeypatch.setattr(ev, "pairwise_order_penalty", spy)
+    return rows
+
+
+def rank_cases():
+    rng = np.random.default_rng(8)
+    owner = rng.permutation(np.repeat(np.arange(6), [1, 2, 3, 1, 4, 2]))
+    yield "random", rng.uniform(0, 1, (len(owner), 4)), rng.uniform(0, 1, (6, 4)), owner
+    owner = rng.permutation(np.repeat(np.arange(5), 3))
+    yield ("tie-heavy", rng.integers(0, 3, (15, 3)).astype(float),
+           rng.integers(0, 3, (5, 3)).astype(float), owner)
+    yield "one-image", rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, (1, 3)), np.zeros(5, int)
+    yield ("one-caption-per-image", rng.integers(0, 2, (8, 2)).astype(float),
+           rng.integers(0, 2, (8, 2)).astype(float), rng.permutation(8))
+
+
+class TestStreamedRanks:
+    @pytest.mark.parametrize("case", list(rank_cases()), ids=lambda c: c[0])
+    def test_every_chunk_size_matches_full_matrix(self, case, monkeypatch):
+        _, v_txt, v_img, owner = case
+        want_s, want_i = full_matrix_ranks(v_txt, v_img, owner)
+        # one-row blocks on a one-thread round, so the slab budget alone sets the chunk
+        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", 1)
+        rows = slab_rows_spy(monkeypatch)
+        for chunk in range(1, len(v_txt) + 1):
+            monkeypatch.setattr(ev, "RANK_SLAB_BYTES", 8 * len(v_img) * chunk)
+            rows.clear()
+            s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
+            assert rows[0] == chunk and sum(rows) == len(v_txt)
+            np.testing.assert_array_equal(s_ranks, want_s)
+            np.testing.assert_array_equal(i_ranks, want_i)
+
+    def test_chunks_are_whole_pool_rounds(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        n_imgs, j = 20, 4
+        owner = np.repeat(np.arange(n_imgs), 10)
+        v_txt = rng.integers(0, 3, (len(owner), j)).astype(float)
+        v_img = rng.integers(0, 3, (n_imgs, j)).astype(float)
+        want_s, want_i = full_matrix_ranks(v_txt, v_img, owner)
+        monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", 8 * j * 3)  # 3 rows per block
+        whole = ad.POOL_WORKERS * 3
+        rows = slab_rows_spy(monkeypatch)
+        for budget_rows in (1, whole + 1, 5 * whole, len(owner)):
+            monkeypatch.setattr(ev, "RANK_SLAB_BYTES", 8 * n_imgs * budget_rows)
+            rows.clear()
+            s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
+            assert rows[0] == whole * max(1, budget_rows // whole)
+            assert all(r % whole == 0 for r in rows[:-1])
+            np.testing.assert_array_equal(s_ranks, want_s)
+            np.testing.assert_array_equal(i_ranks, want_i)
+
+    def test_peak_memory_is_about_one_slab(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        n_imgs, j = 2000, 4
+        v_img = rng.uniform(0, 1, (n_imgs, j))
+        v_txt = rng.uniform(0, 1, (n_imgs, j))
+        owner = rng.permutation(n_imgs)
+        # two 64-row blocks per round, and a budget below one round: 128-row slabs
+        monkeypatch.setattr(ad, "POOL_WORKERS", 2)
+        monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", 8 * j * 64)
+        monkeypatch.setattr(ev, "RANK_SLAB_BYTES", 1)
+        rows = slab_rows_spy(monkeypatch)
+        retrieval_ranks(v_txt, v_img, owner)  # start the pool's threads
+        assert max(rows) == 128
+        slab_bytes = 8 * 128 * n_imgs
+        tracemalloc.start()
+        try:
+            retrieval_ranks(v_txt, v_img, owner)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one slab, its boolean masks (1/8 of it each) and per-caption vectors;
+        # a second slab alive, or the (2000, 2000) matrix, is far above this
+        assert peak < 1.75 * slab_bytes < 8 * len(v_txt) * n_imgs
+
+    def test_owner_rows_are_checked_first(self, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("penalty formed before cap_owner was checked")
+        monkeypatch.setattr(ev, "paired_order_penalty", untouched)
+        monkeypatch.setattr(ev, "pairwise_order_penalty", untouched)
+        v_txt, v_img = np.ones((4, 2)), np.ones((3, 2))
+        for owner, match in (([0, 1, 2], r"shape \(3,\); 4 captions"),
+                             ([0, 1, 2, 3], "caption row 3: owner 3 "),
+                             ([0, -1, 2, 9], "caption row 1: owner -1 "),
+                             ([0.0, 1.0, 2.5, 1.0], "caption row 2: owner 2.5 "),
+                             ([0.0, 1.0, np.nan, 1.0], "caption row 2: owner nan "),
+                             (np.array(["0", "1", "2", "1"]), "not image indices")):
+            with pytest.raises(ValueError, match=match):
+                retrieval_ranks(v_txt, v_img, np.asarray(owner))
+
+    def test_integral_float_owners_are_accepted(self):
+        v_img, v_txt = np.eye(3) * 2.0, np.eye(3) * 2.0 + 0.5
+        s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, np.array([0.0, 1.0, 2.0]))
+        assert np.all(s_ranks == 1) and np.all(i_ranks == 1)

@@ -12,6 +12,7 @@ from xmodal.loss import (
     LossConfig,
     batch_loss,
     order_penalty,
+    paired_order_penalty,
     pairwise_order_penalty,
     similarity,
     variance_term,
@@ -136,6 +137,26 @@ class TestPairwise:
         rng = np.random.default_rng(4)
         S = -pairwise_order_penalty(rng.uniform(0, 1, (5, 4)), rng.uniform(0, 1, (5, 4)))
         assert np.all(S <= 0)
+
+    @pytest.mark.parametrize("j", [1, 7, 256])
+    def test_paired_equals_matrix_entries_bitwise(self, j):
+        # row chunks gathered the way retrieval_ranks' relevant pass does; at
+        # j=256 the 600-row matrix spans two pooled blocks
+        rng = np.random.default_rng(j)
+        X = rng.uniform(0, 2, (600, j))
+        Y = rng.uniform(0, 2, (11, j))
+        owner = rng.integers(0, 11, 600)
+        want = pairwise_order_penalty(X, Y)[np.arange(600), owner]
+        for size in (1, 7, 512, 600):
+            got = np.concatenate([paired_order_penalty(X[lo:lo + size], Y[owner[lo:lo + size]])
+                                  for lo in range(0, 600, size)])
+            assert np.array_equal(got, want)
+
+    def test_paired_rejects_unmatched_rows(self):
+        with pytest.raises(ShapeError, match="3 rows against 2"):
+            paired_order_penalty(np.ones((3, 4)), np.ones((2, 4)))
+        with pytest.raises(ShapeError, match="incompatible"):
+            paired_order_penalty(np.ones((3, 4)), np.ones((3, 5)))
 
 
 def make_batch(rng, n, j):

@@ -258,6 +258,16 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="loss"):
             train(data, params.with_tensors(tensors), cfg)
 
+    def test_non_finite_image_embedding_is_named(self, small_training_setup):
+        # finite but huge weights overflow the image MLP before a loss is formed
+        data, cfg = small_training_setup
+        params = ModelParams.init(cfg.dims, np.random.default_rng(1))
+        tensors = dict(params.tensors)
+        tensors["image.w1"] = tensors["image.w1"] * 1e200
+        tensors["image.w2"] = tensors["image.w2"] * 1e200
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="image"):
+            train(data, params.with_tensors(tensors), cfg)
+
     def test_zero_epochs_rejected(self, small_training_setup):
         data, cfg = small_training_setup
         params = ModelParams.init(cfg.dims, np.random.default_rng(1))
