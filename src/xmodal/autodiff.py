@@ -6,9 +6,9 @@ emptying it.
 Tensors are treated as immutable; callers must not mutate arrays after
 handing them in.
 
-Primitive op kinds:
+Primitive op kinds (a mean is a matmul with a constant column of 1/n):
 
-    matmul, add, elementwise_mul, relu_zero_floor, abs, square, sum, mean,
+    matmul, add, elementwise_mul, relu_zero_floor, abs, square, sum,
     order_penalty, lstm
 
 lstm(E, W, U, b, ids) is a whole single-layer LSTM as one node: E is the
@@ -182,15 +182,6 @@ def _fw_sum(x, meta):
 def _bw_sum(node, g):
     x = node.inputs[0].data
     return (np.full(x.shape, float(g)),)
-
-
-def _fw_mean(x, meta):
-    return np.mean(x)
-
-
-def _bw_mean(node, g):
-    x = node.inputs[0].data
-    return (np.full(x.shape, float(g) / x.size),)
 
 
 def _blocks(n: int, size: int) -> list[slice]:
@@ -395,7 +386,6 @@ OP_TABLE: dict[str, tuple] = {
     "abs": (1, _check_any, _fw_abs, _bw_abs),
     "square": (1, _check_any, _fw_square, _bw_square),
     "sum": (1, _check_any, _fw_sum, _bw_sum),
-    "mean": (1, _check_any, _fw_mean, _bw_mean),
     "order_penalty": (2, _check_order_penalty, _fw_order_penalty, _bw_order_penalty),
     "lstm": (4, _check_lstm, _fw_lstm, _bw_lstm),
 }
@@ -450,10 +440,6 @@ def square(x: Tensor) -> Tensor:
 
 def reduce_sum(x: Tensor) -> Tensor:
     return forward_op("sum", (x,))
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    return forward_op("mean", (x,))
 
 
 def order_penalty(x: Tensor, y: Tensor) -> Tensor:

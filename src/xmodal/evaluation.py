@@ -25,10 +25,13 @@ among equals. Its 1-based rank is
   caption's count runs along its slab row; each image's counts down the
   slab's columns are added to a running total. Then the slab is dropped.
 
-A slab holds at most RANK_SLAB_BYTES, but never less than one round of the
-order-penalty thread pool: a chunk is a whole number of rounds of one
-PENALTY_BLOCK_BYTES block per pool thread, so no core waits on an odd last
-block. Memory is O(chunk x images), and the ranks equal the full matrix's.
+A chunk is one round of the order-penalty thread pool, one
+PENALTY_BLOCK_BYTES block of captions per pool thread, so no core waits on
+an odd last block. Memory is O(chunk x images), and the ranks equal the
+full matrix's.
+
+encode_corpus takes its token rows, caption owners and image features from
+io.record_rows, the path training takes too.
 """
 
 from __future__ import annotations
@@ -41,11 +44,11 @@ import numpy as np
 from .autodiff import penalty_round_rows
 from .loss import paired_order_penalty, pairwise_order_penalty
 from .model import ModelParams, encode_image_batch, encode_text_batch
-from .text import Vocabulary, encode, normalize
+from .io import record_rows
+from .text import Vocabulary
 
 RECALL_KS = (1, 5, 10)
 FOLD_SIZE = 1000
-RANK_SLAB_BYTES = 8 << 20  # budget for one (captions, images) slab of the streamed ranking
 
 
 @dataclass
@@ -136,8 +139,7 @@ def retrieval_ranks(v_txt: np.ndarray, v_img: np.ndarray,
     v_img = np.asarray(v_img, dtype=np.float64)
     n_caps, n_imgs = len(v_txt), len(v_img)
     owner = _caption_owners(cap_owner, n_caps, n_imgs)
-    round_rows = penalty_round_rows(v_txt)
-    rows = round_rows * max(1, RANK_SLAB_BYTES // (8 * max(1, n_imgs) * round_rows))
+    rows = penalty_round_rows(v_txt)
     chunks = [slice(lo, lo + rows) for lo in range(0, n_caps, rows)]
 
     cap_best = np.empty(n_caps)
@@ -166,19 +168,11 @@ def encode_corpus(records, features, vocab: Vocabulary, params: ModelParams,
 
     Returns (v_img (n_imgs, j), v_txt (n_caps, j), cap_owner).
     """
+    token_ids, cap_owner, feats = record_rows(records, features, vocab, seq_len)
     p = params.as_tracked(None)
-    feats = features.matrix([r.feature_ref for r in records])
     v_img = encode_image_batch(feats, p, image_activation).data
-
-    ids = []
-    owner = []
-    for i, rec in enumerate(records):
-        for cap in rec.captions:
-            ids.append(encode(normalize(cap), vocab, seq_len).indices)
-            owner.append(i)
-    token_ids = np.stack(ids)
     v_txt = encode_text_batch(token_ids, p).data
-    return v_img, v_txt, np.asarray(owner, dtype=np.int64)
+    return v_img, v_txt, cap_owner
 
 
 @dataclass

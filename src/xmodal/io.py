@@ -11,6 +11,10 @@ round-trips are bit-exact:
 
 Feature vectors are held as float32, the storage dtype, so that a table
 written and read back compares bit-equal.
+
+record_rows is the one path from records to model inputs, for training and
+evaluation alike: caption token rows, each caption's owning record, and
+each record's feature row.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import INIT_SCALE
-from .text import Vocabulary
+from .text import Vocabulary, concat_captions, encode, normalize
 
 FEATURE_MAGIC = b"IMFT"
 FEATURE_VERSION = 1
@@ -71,7 +75,8 @@ class FeatureTable:
 
     def matrix(self, image_ids) -> np.ndarray:
         """Stack features for the given ids as float64 rows."""
-        return np.stack([self.entries[i] for i in image_ids]).astype(np.float64)
+        rows = [self.entries[i] for i in image_ids]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), self.dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FeatureTable) or self.dim != other.dim:
@@ -173,6 +178,31 @@ def load_dataset(path, features: FeatureTable | None = None) -> list[DatasetReco
                 )
             records.append(DatasetRecord(obj["id"], obj["feature_ref"], list(obj["captions"])))
     return records
+
+
+def record_rows(records, features: FeatureTable, vocab: Vocabulary, seq_len: int,
+                caption_mode: str = "individual",
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Model inputs for `records`: (token_ids (N, L) int64, cap_owner (N,)
+    int64, feats (len(records), f) float64).
+
+    "individual" gives one token row per caption; "concat" joins each
+    record's captions into one description and row first. cap_owner maps a
+    token row to its record's index, which is also its row of feats. A
+    feature_ref missing from `features` raises DataFormatError naming the record.
+    """
+    if caption_mode not in ("individual", "concat"):
+        raise ValueError(f"unknown caption_mode {caption_mode!r}")
+    token_lists, owner = [], []
+    for i, rec in enumerate(records):
+        if rec.feature_ref not in features:
+            raise DataFormatError(
+                f"record {rec.id!r} references unknown feature {rec.feature_ref!r}")
+        caps = [concat_captions(rec.captions)] if caption_mode == "concat" else rec.captions
+        token_lists += [normalize(cap) for cap in caps]
+        owner += [i] * len(caps)
+    return (encode(token_lists, vocab, seq_len), np.asarray(owner, dtype=np.int64),
+            features.matrix([rec.feature_ref for rec in records]))
 
 
 def save_dataset(records: list[DatasetRecord], path) -> None:

@@ -101,11 +101,12 @@ def _row_variances(rows: Tensor) -> Tensor:
 
 
 def _batch_variance(rows: Tensor) -> Tensor:
-    """Mean over components of the per-component variance across the batch."""
+    """(1, 1) mean over components of the per-component variance across the batch."""
     avg = Tensor.const(np.full((1, rows.shape[0]), 1.0 / rows.shape[0]))
     col_mean = ad.matmul(avg, rows)                  # (1, j)
     col_mean_sq = ad.matmul(avg, ad.square(rows))    # (1, j)
-    return ad.reduce_mean(ad.sub(col_mean_sq, ad.square(col_mean)))
+    avg_j = Tensor.const(np.full((rows.shape[1], 1), 1.0 / rows.shape[1]))
+    return ad.matmul(ad.sub(col_mean_sq, ad.square(col_mean)), avg_j)
 
 
 def _hardest(hinges: np.ndarray, axis: int) -> np.ndarray:
@@ -150,10 +151,9 @@ def batch_loss(v_txt: Tensor, v_img: Tensor, cfg: LossConfig) -> Tensor:
     if cfg.lambda_var != 0.0:
         for rows, counts in ((v_txt, w_txt.sum(axis=1)), (v_img, w_img.sum(axis=0))):
             if cfg.variance_scope == "components":
-                weights = Tensor.const(-cfg.lambda_var * counts[None, :])
-                bonus = ad.reduce_sum(ad.matmul(weights, _row_variances(rows)))
+                weights, variances = counts[None, :], _row_variances(rows)  # (1, B), (B, 1)
             else:
-                weight = Tensor.const(-cfg.lambda_var * counts.sum())
-                bonus = ad.mul(weight, _batch_variance(rows))
-            total = ad.add(total, bonus)
+                weights, variances = np.array([[counts.sum()]]), _batch_variance(rows)
+            bonus = ad.matmul(Tensor.const(-cfg.lambda_var * weights), variances)
+            total = ad.add(total, ad.reduce_sum(bonus))
     return total

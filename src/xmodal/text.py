@@ -6,13 +6,15 @@ everything but ASCII letters/digits/whitespace, whitespace tokenization,
 stopword filtering, and Porter stemming. Tokens whose stem lands on the
 pinned stopword list are dropped as well, so normalize() output never
 contains a stopword. Index 0 is reserved for padding.
+
+encode() turns token lists into one (N, L) array of index rows;
+io.record_rows normalizes and encodes records' captions with the two.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -105,22 +107,16 @@ def build_vocab(corpus, min_freq: int = DEFAULT_MIN_FREQ) -> Vocabulary:
     return Vocabulary(mapping, {t: counts[t] for t in kept})
 
 
-@dataclass
-class EncodedText:
-    """Fixed-length index sequence; entries past true_length are 0."""
-
-    indices: np.ndarray  # int64, shape (L,)
-    true_length: int
-
-
-def encode(tokens: list[str], vocab: Vocabulary, seq_len: int = DEFAULT_SEQ_LEN) -> EncodedText:
-    """Map tokens to indices, drop out-of-vocabulary ones, truncate, zero-pad."""
+def encode(token_lists, vocab: Vocabulary, seq_len: int = DEFAULT_SEQ_LEN) -> np.ndarray:
+    """(N, L) int64 rows, one per token list: its in-vocabulary indices in
+    order, truncated to L and zero-padded."""
     if seq_len < 1:
         raise ValueError("seq_len must be >= 1")
-    ids = [vocab[t] for t in tokens if t in vocab][:seq_len]
-    out = np.zeros(seq_len, dtype=np.int64)
-    out[: len(ids)] = ids
-    return EncodedText(out, len(ids))
+    rows = np.zeros((len(token_lists), seq_len), dtype=np.int64)
+    for row, tokens in zip(rows, token_lists):
+        ids = [vocab[t] for t in tokens if t in vocab][:seq_len]
+        row[:len(ids)] = ids
+    return rows
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

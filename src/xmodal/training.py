@@ -26,11 +26,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .evaluation import evaluate_records
-from .io import Checkpoint, DataFormatError, FeatureTable, save_checkpoint
+from .io import Checkpoint, DataFormatError, FeatureTable, record_rows, save_checkpoint
 from .loss import LossConfig, batch_loss
 from .model import (ModelDims, ModelParams, encode_image_batch, encode_text_batch,
                     param_shapes)
-from .text import Vocabulary, concat_captions, encode, normalize
+from .text import Vocabulary
 
 LR_INIT_DEFAULT = 0.1
 BATCH_INIT_DEFAULT = 16
@@ -59,8 +59,8 @@ class AdamState:
 def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> dict[str, np.ndarray]:
     """One bias-corrected Adam update; returns new tensors, mutates state."""
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
+    if not 0 <= lr < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for parameter {name!r}")
@@ -178,22 +178,13 @@ def prepare_pairs(records, features: FeatureTable, vocab: Vocabulary,
     """Flatten records into aligned (token_ids (N, L), feats (N, f)) pairs.
 
     "individual" makes one pair per caption; "concat" joins each record's
-    captions into one long description first.
+    captions into one long description first (see io.record_rows).
     """
-    if caption_mode not in ("individual", "concat"):
-        raise ValueError(f"unknown caption_mode {caption_mode!r}")
-    ids, feats = [], []
-    for rec in records:
-        caps = [concat_captions(rec.captions)] if caption_mode == "concat" else rec.captions
-        if rec.feature_ref not in features:
-            raise DataFormatError(
-                f"record {rec.id!r} references unknown feature {rec.feature_ref!r}")
-        for cap in caps:
-            ids.append(encode(normalize(cap), vocab, seq_len).indices)
-            feats.append(features[rec.feature_ref].astype(np.float64))
-    if not ids:
+    token_ids, owner, image_feats = record_rows(records, features, vocab, seq_len,
+                                                caption_mode)
+    if not len(token_ids):
         raise ValueError("no training pairs")
-    return np.stack(ids), np.stack(feats)
+    return token_ids, image_feats[owner]
 
 
 def _batch_step(token_ids, feats, params: ModelParams, cfg: TrainConfig,
@@ -217,10 +208,6 @@ def _batch_step(token_ids, feats, params: ModelParams, cfg: TrainConfig,
 def train(data: TrainingData, params: ModelParams, cfg: TrainConfig,
           log_path=None) -> TrainResult:
     """Run the full schedule; returns trained parameters and the epoch log."""
-    if cfg.batch_size < 2:
-        raise ValueError("batch_size must be >= 2")
-    if cfg.max_epochs < 1:
-        raise ValueError("max_epochs must be >= 1")
     schedule = ScheduleState(lr=cfg.lr_init, batch_size=cfg.batch_size,
                              lr_reset=cfg.lr_init)
     return _train_from_state(data, params, AdamState.zeros_like(params.tensors),
@@ -284,6 +271,10 @@ def resume_train(data: TrainingData, ck: Checkpoint, cfg: TrainConfig,
 def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
                       schedule: ScheduleState, cfg: TrainConfig,
                       log_path) -> TrainResult:
+    if schedule.batch_size < 2:
+        raise ValueError(f"batch_size must be >= 2, got {schedule.batch_size}")
+    if cfg.max_epochs < 1:
+        raise ValueError("max_epochs must be >= 1")
     token_ids, feats = prepare_pairs(
         data.records, data.features, data.vocab, cfg.seq_len, cfg.caption_mode)
     n_pairs = len(token_ids)
@@ -309,7 +300,7 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
                     token_ids[batch], feats[batch], params, cfg, adam, schedule.lr)
                 loss_sum += batch_loss_val
                 pairs_seen += len(batch)
-            epoch_loss = loss_sum / pairs_seen if pairs_seen else 0.0
+            epoch_loss = loss_sum / pairs_seen
 
             reports = evaluate_records(
                 val_records, data.features, data.vocab, params, cfg.seq_len,

@@ -291,12 +291,11 @@ class TestStreamedRanks:
     def test_every_chunk_size_matches_full_matrix(self, case, monkeypatch):
         _, v_txt, v_img, owner = case
         want_s, want_i = full_matrix_ranks(v_txt, v_img, owner)
-        # one-row blocks on a one-thread round, so the slab budget alone sets the chunk
+        # a one-thread round of one block, so the block size alone sets the chunk
         monkeypatch.setattr(ad, "POOL_WORKERS", 1)
-        monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", 1)
         rows = slab_rows_spy(monkeypatch)
         for chunk in range(1, len(v_txt) + 1):
-            monkeypatch.setattr(ev, "RANK_SLAB_BYTES", 8 * len(v_img) * chunk)
+            monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", 8 * v_txt.shape[1] * chunk)
             rows.clear()
             s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
             assert rows[0] == chunk and sum(rows) == len(v_txt)
@@ -311,14 +310,14 @@ class TestStreamedRanks:
         v_img = rng.integers(0, 3, (n_imgs, j)).astype(float)
         want_s, want_i = full_matrix_ranks(v_txt, v_img, owner)
         monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", 8 * j * 3)  # 3 rows per block
-        whole = ad.POOL_WORKERS * 3
         rows = slab_rows_spy(monkeypatch)
-        for budget_rows in (1, whole + 1, 5 * whole, len(owner)):
-            monkeypatch.setattr(ev, "RANK_SLAB_BYTES", 8 * n_imgs * budget_rows)
+        for workers in (1, 2, 7, 67):  # one round of 67 blocks covers all 200 captions
+            monkeypatch.setattr(ad, "POOL_WORKERS", workers)
+            whole = workers * 3
             rows.clear()
             s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
-            assert rows[0] == whole * max(1, budget_rows // whole)
-            assert all(r % whole == 0 for r in rows[:-1])
+            assert rows[0] == min(whole, len(owner)) and sum(rows) == len(owner)
+            assert all(r == whole for r in rows[:-1])
             np.testing.assert_array_equal(s_ranks, want_s)
             np.testing.assert_array_equal(i_ranks, want_i)
 
@@ -328,10 +327,9 @@ class TestStreamedRanks:
         v_img = rng.uniform(0, 1, (n_imgs, j))
         v_txt = rng.uniform(0, 1, (n_imgs, j))
         owner = rng.permutation(n_imgs)
-        # two 64-row blocks per round, and a budget below one round: 128-row slabs
+        # two 64-row blocks per round: 128-row slabs
         monkeypatch.setattr(ad, "POOL_WORKERS", 2)
         monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", 8 * j * 64)
-        monkeypatch.setattr(ev, "RANK_SLAB_BYTES", 1)
         rows = slab_rows_spy(monkeypatch)
         retrieval_ranks(v_txt, v_img, owner)  # start the pool's threads
         assert max(rows) == 128

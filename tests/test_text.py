@@ -97,41 +97,47 @@ class TestEncode:
         return Vocabulary({"cat": 1, "dog": 2, "sun": 3}, {"cat": 9, "dog": 5, "sun": 5})
 
     def test_empty_tokens(self, vocab):
-        enc = encode([], vocab, 70)
-        assert enc.indices.shape == (70,)
-        assert enc.true_length == 0
-        assert np.all(enc.indices == 0)
+        (enc,) = encode([[]], vocab, 70)
+        assert enc.shape == (70,)
+        assert np.count_nonzero(enc) == 0
+        assert np.all(enc == 0)
 
     def test_padding_after_content(self, vocab):
-        enc = encode(["dog", "cat", "dog"], vocab, 70)
-        assert enc.true_length == 3
-        assert list(enc.indices[:3]) == [2, 1, 2]
-        assert np.all(enc.indices[3:] == 0)
+        (enc,) = encode([["dog", "cat", "dog"]], vocab, 70)
+        assert np.count_nonzero(enc) == 3
+        assert list(enc[:3]) == [2, 1, 2]
+        assert np.all(enc[3:] == 0)
 
     def test_truncation(self, vocab):
-        enc = encode(["cat"] * 75, vocab, 70)
-        assert enc.true_length == 70
-        assert np.all(enc.indices == 1)
+        (enc,) = encode([["cat"] * 75], vocab, 70)
+        assert np.count_nonzero(enc) == 70
+        assert np.all(enc == 1)
 
     def test_oov_dropped_before_truncation(self, vocab):
-        enc = encode(["zebra", "cat", "qux", "dog"], vocab, 3)
-        assert list(enc.indices) == [1, 2, 0]
-        assert enc.true_length == 2
+        (enc,) = encode([["zebra", "cat", "qux", "dog"]], vocab, 3)
+        assert list(enc) == [1, 2, 0]
+        assert np.count_nonzero(enc) == 2
 
     def test_bad_length(self, vocab):
         with pytest.raises(ValueError):
-            encode([], vocab, 0)
+            encode([[]], vocab, 0)
+
+    def test_rows_are_one_int64_array(self, vocab):
+        rows = encode([["sun"], [], ["dog", "oov", "cat"]], vocab, 4)
+        assert rows.dtype == np.int64 and rows.flags.c_contiguous
+        np.testing.assert_array_equal(rows, [[3, 0, 0, 0], [0, 0, 0, 0], [2, 1, 0, 0]])
+        assert encode([], vocab, 4).shape == (0, 4)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from(["cat", "dog", "sun", "oov"]), max_size=90),
            st.integers(1, 80))
     def test_length_always_exact(self, tokens, L):
         vocab = Vocabulary({"cat": 1, "dog": 2, "sun": 3}, {"cat": 1, "dog": 1, "sun": 1})
-        enc = encode(tokens, vocab, L)
-        assert enc.indices.shape == (L,)
-        nz = enc.indices[enc.indices != 0]
-        assert len(nz) == enc.true_length
-        assert np.all(enc.indices[enc.true_length:] == 0)
+        (enc,) = encode([tokens], vocab, L)
+        assert enc.shape == (L,)
+        n_ids = min(L, sum(t != "oov" for t in tokens))
+        assert np.count_nonzero(enc) == n_ids
+        assert np.all(enc[n_ids:] == 0)
 
 
 class TestVocabFile:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xmodal import autodiff as ad
+from xmodal import evaluation as ev
 from xmodal import training
 from xmodal.io import DataFormatError, FeatureTable, load_checkpoint
 from xmodal.loss import VARIANCE_SCOPES, LossConfig, batch_loss
@@ -94,6 +95,14 @@ class TestAdam:
         for moments, before in ((state.m, m), (state.v, v)):
             for name, a in before.items():
                 np.testing.assert_array_equal(moments[name], a)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-3])
+    def test_non_finite_or_negative_lr_rejected(self, lr):
+        tensors = {"w": np.ones(3)}
+        state = AdamState.zeros_like(tensors)
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            adam_step(tensors, {"w": np.ones(3)}, state, lr)
+        assert state.t == 0
 
     def test_shapes_preserved(self):
         rng = np.random.default_rng(1)
@@ -410,6 +419,16 @@ class TestCheckpointResume:
         assert len(more.log) == 2
         assert more.adam.t > result.adam.t
 
+    def test_resume_with_batch_of_one_rejected(self, small_training_setup, tmp_path):
+        # a batch of one has no negatives, so every batch would be skipped
+        data, cfg = small_training_setup
+        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
+        adam = AdamState.zeros_like(params.tensors)
+        p = tmp_path / "ckpt.bin"
+        save_training_checkpoint(p, params, adam, ScheduleState(batch_size=1))
+        with pytest.raises(ValueError, match="batch_size must be >= 2, got 1"):
+            resume_train(data, load_checkpoint(p), cfg)
+
 
 class TestPreparePairs:
     def test_individual_vs_concat(self, small_training_setup):
@@ -433,6 +452,34 @@ class TestPreparePairs:
         data, _ = small_training_setup
         with pytest.raises(ValueError, match="caption_mode"):
             prepare_pairs(data.records, data.features, data.vocab, 6, "both")
+
+
+class TestSharedRecordPath:
+    def test_eval_rows_match_training_pairs(self, small_training_setup, monkeypatch):
+        data, cfg = small_training_setup
+        recs = [DatasetRecord(r.id, r.feature_ref, r.captions * (1 + i % 3))
+                for i, r in enumerate(data.records)]
+        seen = {}
+        for name in ("encode_text_batch", "encode_image_batch"):
+            def spy(rows, *args, _fn=getattr(ev, name), _name=name):
+                seen[_name] = rows
+                return _fn(rows, *args)
+            monkeypatch.setattr(ev, name, spy)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(1))
+        _, _, owner = ev.encode_corpus(recs, data.features, data.vocab, params, cfg.seq_len)
+        token_ids, feats = prepare_pairs(recs, data.features, data.vocab, cfg.seq_len)
+        np.testing.assert_array_equal(
+            owner, np.repeat(np.arange(len(recs)), [len(r.captions) for r in recs]))
+        np.testing.assert_array_equal(seen["encode_text_batch"], token_ids)
+        np.testing.assert_array_equal(seen["encode_image_batch"][owner], feats)
+
+    def test_evaluation_names_a_missing_feature(self, small_training_setup):
+        data, cfg = small_training_setup
+        recs = [data.records[0], DatasetRecord("rec-7", "missing", ["one cap"])]
+        params = ModelParams.init(cfg.dims, np.random.default_rng(1))
+        with pytest.raises(DataFormatError,
+                           match="record 'rec-7' references unknown feature 'missing'"):
+            ev.evaluate_records(recs, data.features, data.vocab, params, cfg.seq_len)
 
 
 class TestGridSearch:
