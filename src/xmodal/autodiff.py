@@ -17,26 +17,28 @@ b (1, 4h) hold the gates side by side in GATES order. The input projection
 E[t] @ W is formed once per distinct token t in ids, as one GEMM; step t
 gathers its rows of it into a (B, 4h) gate buffer through the inverse index,
 adds h @ U and b there, and activates each gate's column block in place.
-The scan returns the last h. A tape-free forward runs in blocks of at most
-LSTM_BLOCK captions, so its per-step buffers stay in cache, and keeps only
-the current (h, c) and one gate buffer per block.
-Recorded on a tape, the forward writes each step's gates into an (L, B, 4h)
-array and keeps it with the (L+1, B, h) cells and hiddens in meta["saved"];
+The scan returns the last h. It runs in blocks of at most LSTM_BLOCK
+captions, so its per-step buffers stay in cache. A tape-free forward keeps
+only the current (h, c) and one gate buffer per block. Recorded on a tape,
+each block writes its rows of every step's gates into an (L, B, 4h) array
+and of the cells and hiddens into (L+1, B, h) arrays, kept in meta["saved"];
 the VJP pops them off the node, so they are freed as it returns, runs
 backpropagation through time on them and forms each gradient as one GEMM,
 sum or np.add.at over all steps.
 
 order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
-and (M, j) rows as one node, built without an (N, M, j) intermediate. The
-forward splits the rows of X into blocks whose (rows, j) slab fits in L2
+and (M, j) rows as one node, built without an (N, M, j) intermediate;
+pairwise_order_penalty is its untracked call on arrays. The forward splits
+the rows of X into blocks whose (rows, j) slab fits in L2
 (PENALTY_BLOCK_BYTES); each block loops over the rows of Y and writes its
 own rows of the result. Several blocks run on a thread pool sized to the
 CPUs the process may use, since numpy releases the GIL inside ufuncs; a
 training batch is one block and runs on the calling thread. Every entry is
 computed the same way whatever the blocking, so the bits do not depend on it;
-order_penalty_pairs computes the penalty of row i of X against row i of Y
+paired_order_penalty computes the penalty of row i of X against row i of Y
 the same way, so it equals the matrix's (i, i) entry bit for bit.
-The backward loops over the rows of Y against the whole of X.
+The backward loops over the rows of Y against the whole of X. All three
+form max(0, Y[k] - X) with _violations, in one slab reused for every k.
 
 Subgradient conventions: relu_zero_floor, abs and order_penalty (where
 Y[k, d] == X[i, d]) use 0 at the kink.
@@ -52,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 GATES = ("i", "f", "g", "o")  # column blocks of the lstm op's w, u and b
-LSTM_BLOCK = 512  # captions per block of the tape-free lstm scan
+LSTM_BLOCK = 512  # captions per block of the lstm scan
 PENALTY_BLOCK_BYTES = 1 << 20  # size of the slab of X rows one order_penalty block holds
 POOL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)  # CPUs the process may use
@@ -204,22 +206,15 @@ def penalty_round_rows(x) -> int:
     return POOL_WORKERS * _penalty_block_rows(x)
 
 
-def _penalty_sums(diff):
-    """Row sums of max(0, diff)^2, formed in diff's own storage."""
-    np.maximum(diff, 0.0, out=diff)
-    return np.sum(np.square(diff, out=diff), axis=1)
+def _violations(y, x, slab):
+    """max(0, y - x) in `slab`, an array shaped like x; y is one row or as many as x."""
+    return np.maximum(np.subtract(y, x, out=slab), 0.0, out=slab)
 
 
 def _order_penalty_rows(x, y, out):
     slab = np.empty_like(x)  # reused for every k instead of fresh temporaries
     for k in range(y.shape[0]):
-        out[:, k] = _penalty_sums(np.subtract(y[k], x, out=slab))
-
-
-def order_penalty_pairs(x, y) -> np.ndarray:
-    """Entry i = ||max(0, Y[i] - X[i])||^2 of two (N, j) arrays, with the bits of
-    the order_penalty matrix's entries: both share _penalty_sums' arithmetic."""
-    return _penalty_sums(np.subtract(y, x))
+        out[:, k] = np.sum(np.square(_violations(y[k], x, slab), out=slab), axis=1)
 
 
 def _fw_order_penalty(x, y, meta):
@@ -233,14 +228,34 @@ def _fw_order_penalty(x, y, meta):
     return out
 
 
+def pairwise_order_penalty(x_rows, y_rows) -> np.ndarray:
+    """Penalty matrix, entry (i, k) = ||max(0, y_rows[k] - x_rows[i])||^2:
+    the order_penalty op on untracked arrays."""
+    return order_penalty(Tensor.const(x_rows), Tensor.const(y_rows)).data
+
+
+def paired_order_penalty(x_rows, y_rows) -> np.ndarray:
+    """Entry i = ||max(0, y_rows[i] - x_rows[i])||^2, bit-equal to the entry
+    pairwise_order_penalty gives for the same two rows."""
+    x, y = Tensor.const(x_rows), Tensor.const(y_rows)
+    _check_order_penalty("paired_order_penalty", (x, y), {})
+    if x.shape[0] != y.shape[0]:
+        raise ShapeError(f"paired_order_penalty: {x.shape[0]} rows against {y.shape[0]}")
+    slab = np.empty_like(x.data)
+    return np.sum(np.square(_violations(y.data, x.data, slab), out=slab), axis=1)
+
+
 def _bw_order_penalty(node, g):
     x, y = (t.data for t in node.inputs)
+    g2 = np.ascontiguousarray(2.0 * g.T)  # row k is 2 g[:, k], contiguous for gemv
     gx = np.zeros_like(x)
     gy = np.empty_like(y)
+    slab = np.empty_like(x)
     for k in range(y.shape[0]):
-        r = np.maximum(0.0, y[k] - x)
-        gx -= 2.0 * g[:, k, None] * r
-        gy[k] = 2.0 * g[:, k] @ r
+        r = _violations(y[k], x, slab)
+        gy[k] = g2[k] @ r
+        r *= g2[k, :, None]
+        gx -= r
     return (gx, gy)
 
 
@@ -285,24 +300,20 @@ def _fw_lstm(emb, w, u, b, meta):
     # the input projection of each distinct token, and each position's row of it
     tokens, inv = np.unique(ids, return_inverse=True)
     xw, inv = emb[tokens] @ w, inv.reshape(ids.shape)
-    if "saved" not in meta:  # tape-free: only the current state is kept
-        out = np.zeros((n, hid))  # the state after zero steps
-        for rows in _blocks(n, LSTM_BLOCK):
-            h = out[rows]
-            for _, h in _lstm_steps(xw, u, b, inv[rows]):
-                pass
-            out[rows] = h
-        return out
-    # Recorded: keep per step the gates and the states for the VJP; step t
-    # starts from cells[t] and hiddens[t].
-    gates = np.empty((steps, n, 4 * hid))
-    cells = np.zeros((steps + 1, n, hid))
-    hiddens = np.zeros((steps + 1, n, hid))
-    h = np.zeros((n, hid))
-    for t, (c, h) in enumerate(_lstm_steps(xw, u, b, inv, gates)):
-        cells[t + 1], hiddens[t + 1] = c, h
-    meta["saved"].update(gates=gates, cells=cells, hiddens=hiddens)
-    return h  # a fresh array, not a view that would keep `hiddens` alive
+    saved = meta.get("saved")
+    if saved is not None:  # recorded: step t starts from cells[t] and hiddens[t]
+        saved.update(gates=np.empty((steps, n, 4 * hid)),
+                     cells=np.zeros((steps + 1, n, hid)),
+                     hiddens=np.zeros((steps + 1, n, hid)))
+    out = np.zeros((n, hid))  # the state after zero steps
+    for rows in _blocks(n, LSTM_BLOCK):
+        gates = None if saved is None else saved["gates"][:, rows]
+        h = out[rows]
+        for t, (c, h) in enumerate(_lstm_steps(xw, u, b, inv[rows], gates)):
+            if saved is not None:
+                saved["cells"][t + 1, rows], saved["hiddens"][t + 1, rows] = c, h
+        out[rows] = h
+    return out
 
 
 def _bw_lstm(node, g):
@@ -493,10 +504,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         for inp, gi in zip(node.inputs, vjps):
             if inp.node_id is None:
                 continue
-            if grads[inp.node_id] is None:
-                grads[inp.node_id] = np.array(gi, dtype=np.float64, copy=True)
-            else:
-                grads[inp.node_id] += gi
+            prev = grads[inp.node_id]
+            # out of place: a VJP may hand one array to several inputs
+            grads[inp.node_id] = gi if prev is None else prev + gi
 
     out = {
         i: (grads[i] if grads[i] is not None else np.zeros_like(n.output.data))

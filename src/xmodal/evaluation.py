@@ -17,13 +17,14 @@ among equals. Its 1-based rank is
 (captions, images) penalty matrix:
 
 - A relevant pass computes each caption's penalty against its own image with
-  `paired_order_penalty`, whose bits equal the matrix entry's. That is the
-  caption's `best`, and its image is its `first`. Each image's `best` is the
-  least of its captions' penalties, its `first` the lowest caption index
-  holding that value.
-- A streamed pass forms the matrix one (chunk, images) slab at a time. Each
-  caption's count runs along its slab row; each image's counts down the
-  slab's columns are added to a running total. Then the slab is dropped.
+  autodiff's `paired_order_penalty`, whose bits equal the matrix entry's.
+  That is the caption's `best`, and its image is its `first`. Each image's
+  `best` is the least of its captions' penalties, its `first` the lowest
+  caption index holding that value.
+- A streamed pass forms the matrix one (chunk, images) slab at a time with
+  autodiff's `pairwise_order_penalty`. Each caption's count runs along its
+  slab row; each image's counts down the slab's columns are added to a
+  running total. Then the slab is dropped.
 
 A chunk is one round of the order-penalty thread pool, one
 PENALTY_BLOCK_BYTES block of captions per pool thread, so no core waits on
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import penalty_round_rows
-from .loss import paired_order_penalty, pairwise_order_penalty
+# module globals, so wrapping evaluation's names covers every call ranking makes
+from .autodiff import paired_order_penalty, pairwise_order_penalty, penalty_round_rows
 from .model import ModelParams, encode_image_batch, encode_text_batch
 from .io import record_rows
 from .text import Vocabulary
@@ -207,6 +208,8 @@ def evaluate_embeddings(v_img, v_txt, cap_owner, protocol: str,
     folds_1k averages metrics across folds of 1000 images (at most 5 folds,
     taken from the front in record order).
     """
+    if len(v_img) == 0:
+        raise ValueError(f"{protocol}: nothing to evaluate, no images or records")
     if protocol == "full_5k":
         s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, cap_owner)
         return {

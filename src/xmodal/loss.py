@@ -6,10 +6,14 @@ scored by how badly the image fails to be dominated by the text:
     penalty(x, y) = || max(0, y - x) ||^2        (0 iff y <= x elementwise)
     score(t, i)   = -penalty(t, i)               (always <= 0)
 
+`order_penalty` here is the scalar oracle of one pair. The penalty of many
+rows is autodiff's: the order_penalty op, and its untracked entry points
+pairwise_order_penalty (a matrix) and paired_order_penalty (row against row).
+
 For a batch of B aligned pairs, every other batch member of the opposite
-modality is a negative. With P = pairwise_order_penalty(texts, images) and
-d = diag(P), caption r is a negative for image i with hinge
-max(0, alpha - P[r, i] + d[i]) and image k one for caption i with
+modality is a negative. With P the order_penalty matrix of the texts
+against the images and d = diag(P), caption r is a negative for image i with
+hinge max(0, alpha - P[r, i] + d[i]) and image k one for caption i with
 max(0, alpha - P[i, k] + d[i]); the loss sums both (B, B) hinge matrices
 off the diagonal. `negative_mode="max"` keeps only the largest hinge per
 positive and direction, ties going to the lowest batch index. Each negative
@@ -69,29 +73,6 @@ def variance_term(v) -> float:
     if v.size < 1:
         raise ShapeError("variance_term: empty vector")
     return float(np.mean((v - np.mean(v)) ** 2))
-
-
-def _penalty_rows(name: str, x_rows, y_rows) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x_rows, dtype=np.float64)
-    y = np.asarray(y_rows, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ShapeError(f"{name}: shapes {x.shape} and {y.shape} incompatible")
-    return x, y
-
-
-def pairwise_order_penalty(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
-    """Penalty matrix: entry (i, k) = order_penalty(x_rows[i], y_rows[k])."""
-    x, y = _penalty_rows("pairwise_order_penalty", x_rows, y_rows)
-    return ad.order_penalty(Tensor.const(x), Tensor.const(y)).data
-
-
-def paired_order_penalty(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
-    """Entry i = order_penalty(x_rows[i], y_rows[i]), bit-equal to the entry
-    pairwise_order_penalty gives for the same two rows."""
-    x, y = _penalty_rows("paired_order_penalty", x_rows, y_rows)
-    if len(x) != len(y):
-        raise ShapeError(f"paired_order_penalty: {len(x)} rows against {len(y)}")
-    return ad.order_penalty_pairs(x, y)
 
 
 def _row_variances(rows: Tensor) -> Tensor:

@@ -27,17 +27,6 @@ from .autodiff import GATES, Tape, Tensor
 # Random weights, and word vectors missing from a file, are uniform in ±INIT_SCALE.
 INIT_SCALE = 0.08
 
-PARAM_SHAPES_DOC = """
-embedding   (d+1, e)   row 0 is the padding token
-lstm.w      (e, 4h)    input weights, gates i f g o side by side
-lstm.u      (h, 4h)    recurrent weights, same column blocks
-lstm.b      (1, 4h)    biases, same column blocks
-image.w1    (f, j)     first affine layer
-image.b1    (1, j)
-image.w2    (j, j)     second affine layer
-image.b2    (1, j)
-"""
-
 
 @dataclass(frozen=True)
 class ModelDims:
@@ -55,6 +44,17 @@ class ModelDims:
 
 
 def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, by name:
+
+    embedding   (d+1, e)   row 0 is the padding token
+    lstm.w      (e, 4h)    input weights, gates i f g o side by side
+    lstm.u      (h, 4h)    recurrent weights, same column blocks
+    lstm.b      (1, 4h)    biases, same column blocks
+    image.w1    (f, j)     first affine layer
+    image.b1    (1, j)
+    image.w2    (j, j)     second affine layer
+    image.b2    (1, j)
+    """
     d, e, h, f = dims.vocab_size, dims.embed_dim, dims.hidden_dim, dims.feature_dim
     return {
         "embedding": (d + 1, e),

@@ -2,7 +2,7 @@
 
 Training starts at lr 0.1 with batch size 16. When the epoch loss stops
 improving for `patience` epochs the learning rate halves; once halving
-would cross the 1e-7 floor the batch size doubles instead and the rate
+would cross LR_FLOOR (1e-7) the batch size doubles instead and the rate
 resets. Runs stop after `max_epochs`, after `max_grow_cycles` batch-growth
 actions, or (by default) once an epoch shows zero loss with 100% R@1 in
 both directions: every hinge is satisfied globally and further steps would
@@ -33,6 +33,7 @@ from .model import (ModelDims, ModelParams, encode_image_batch, encode_text_batc
 from .text import Vocabulary
 
 LR_INIT_DEFAULT = 0.1
+LR_FLOOR = 1e-7
 BATCH_INIT_DEFAULT = 16
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the textbook defaults
 # Elements per block of adam_step: the block's slices of its five arrays and
@@ -108,7 +109,6 @@ class ScheduleState:
     epochs_since_improve: int = 0
     patience: int = 3
     tol: float = 1e-4
-    lr_floor: float = 1e-7
     lr_reset: float = LR_INIT_DEFAULT
     grow_cycles: int = 0
 
@@ -131,7 +131,7 @@ def schedule_update(state: ScheduleState, epoch_loss: float) -> str:
     if state.epochs_since_improve < state.patience:
         return "none"
     state.epochs_since_improve = 0
-    if state.lr / 2.0 >= state.lr_floor:
+    if state.lr / 2.0 >= LR_FLOOR:
         state.lr /= 2.0
         return "halve_lr"
     state.batch_size *= 2
@@ -233,7 +233,7 @@ def save_training_checkpoint(path, params: ModelParams, adam: AdamState,
                     phase=schedule.grow_cycles)
 
 
-def restore_training_state(ck: Checkpoint, dims: ModelDims, cfg: TrainConfig,
+def restore_training_state(ck: Checkpoint, cfg: TrainConfig,
                            ) -> tuple[ModelParams, AdamState, ScheduleState]:
     """Rebuild (params, adam, schedule) from a checkpoint, validating every tensor.
 
@@ -249,8 +249,8 @@ def restore_training_state(ck: Checkpoint, dims: ModelDims, cfg: TrainConfig,
             )
         return ck.tensors[key]
 
-    expected = param_shapes(dims)
-    params = ModelParams(dims, {n: read(n, s) for n, s in expected.items()})
+    expected = param_shapes(cfg.dims)
+    params = ModelParams(cfg.dims, {n: read(n, s) for n, s in expected.items()})
     m, v = ({n: np.array(read(f"adam.{k}.{n}", s), dtype=np.float64)
              for n, s in expected.items()} for k in "mv")
     schedule = ScheduleState(
@@ -264,7 +264,7 @@ def restore_training_state(ck: Checkpoint, dims: ModelDims, cfg: TrainConfig,
 def resume_train(data: TrainingData, ck: Checkpoint, cfg: TrainConfig,
                  log_path=None) -> TrainResult:
     """Continue a run from a checkpoint (schedule and moments persist)."""
-    params, adam, schedule = restore_training_state(ck, cfg.dims, cfg)
+    params, adam, schedule = restore_training_state(ck, cfg)
     return _train_from_state(data, params, adam, schedule, cfg, log_path)
 
 
@@ -282,6 +282,8 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
         raise ValueError("need at least 2 training pairs to form negatives")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     val_records = data.val_records if data.val_records is not None else data.records
+    if not val_records:
+        raise ValueError("val_records is empty: nothing to evaluate after each epoch")
 
     log: list[dict] = []
     sink = open(log_path, "a", encoding="utf-8") if log_path else None

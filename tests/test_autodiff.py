@@ -188,6 +188,17 @@ class TestBackward:
         # perturbation oracle
         assert ad.finite_diff_check(build, [x0], FD_STEP) < 1e-6
 
+    def test_one_array_handed_to_two_leaves_is_not_summed_into(self):
+        # add's VJP gives a and b the same array; a's later contribution from
+        # `scaled` (recorded first, so its VJP runs last) must leave b's alone
+        t = Tape()
+        a, b = t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 3)))
+        scaled = ad.mul(a, Tensor.const(np.full((2, 3), 3.0)))
+        shared = ad.add(a, b)
+        g = ad.backward(t, ad.reduce_sum(ad.add(shared, scaled)))
+        np.testing.assert_array_equal(g[a.node_id], np.full((2, 3), 4.0))
+        np.testing.assert_array_equal(g[b.node_id], np.ones((2, 3)))
+
     def test_backward_consumes_the_tape(self):
         # emptied, the tape is freed by reference counting alone
         enabled = gc.isenabled()
@@ -277,8 +288,8 @@ class TestLstmKeepsItsForward:
 
 
 class TestBlockedKernels:
-    """The blocked order_penalty and tape-free lstm forwards give the same bits
-    as one block: every entry is computed the same way whatever the blocking."""
+    """The blocked order_penalty and lstm forwards give the same bits as one
+    block: every entry is computed the same way whatever the blocking."""
 
     @pytest.mark.parametrize("n, size", [(0, 4), (1, 4), (4, 4), (5, 4), (11, 4), (9, 2)])
     def test_blocks_cover_rows_in_near_equal_slices(self, n, size):
@@ -328,6 +339,35 @@ class TestBlockedKernels:
         monkeypatch.setattr(ad, "LSTM_BLOCK", block)
         got = ad.lstm(*(Tensor.const(a) for a in params), ids).data
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [3, 4, 6])  # blocks of 2-3, 3-4 and 5-6 rows
+    def test_blocked_recorded_lstm_matches_one_block(self, monkeypatch, block):
+        rng = np.random.default_rng(23)
+        params = _lstm_params(rng, vocab=9, e=5, h=3)
+        ids = rng.integers(0, 9, size=(11, 6))
+
+        def run():
+            tape = Tape()
+            leaves = [tape.leaf(a) for a in params]
+            h = ad.lstm(*leaves, ids)
+            saved = dict(tape.nodes[h.node_id].meta["saved"])
+            grads = ad.backward(tape, ad.reduce_sum(ad.square(h)))
+            return [h.data, saved["gates"], saved["cells"], saved["hiddens"],
+                    *(grads[leaf.node_id] for leaf in leaves)]
+
+        want = run()  # 11 captions are one block of the default size
+        scans, steps = [], ad._lstm_steps
+
+        def counted(xw, u, b, inv, gates=None):
+            scans.append(inv.shape[0])
+            return steps(xw, u, b, inv, gates)
+
+        monkeypatch.setattr(ad, "_lstm_steps", counted)
+        monkeypatch.setattr(ad, "LSTM_BLOCK", block)
+        got = run()
+        assert scans == [r.stop - r.start for r in ad._blocks(11, block)]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def _lstm_params(rng, vocab, e, h):

@@ -21,7 +21,8 @@ from xmodal.evaluation import (
     reports_to_json,
     retrieval_ranks,
 )
-from xmodal.loss import order_penalty, pairwise_order_penalty
+from xmodal.autodiff import pairwise_order_penalty
+from xmodal.loss import order_penalty
 
 
 def brute_force_rank(scores, relevant):
@@ -236,6 +237,12 @@ class TestProtocols:
         v_txt = np.eye(3)[[0, 2]] + 0.5
         with pytest.raises(ValueError, match="1 of 3 queries have no relevant item"):
             evaluate_embeddings(v_img, v_txt, np.array([0, 2]), "full_5k")
+
+    @pytest.mark.parametrize("protocol", ["full_5k", "folds_1k"])
+    def test_no_images_is_nothing_to_evaluate(self, protocol):
+        with pytest.raises(ValueError, match=f"{protocol}: nothing to evaluate"):
+            evaluate_embeddings(np.ones((0, 3)), np.ones((0, 3)),
+                                np.zeros(0, dtype=np.int64), protocol)
 
     def test_folds_reject_small_sets(self):
         with pytest.raises(ValueError, match="folds_1k"):

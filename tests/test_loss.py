@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 
 from xmodal import autodiff as ad
 from xmodal import loss as lo
-from xmodal.autodiff import ShapeError, Tape, Tensor
+from xmodal.autodiff import (
+    ShapeError,
+    Tape,
+    Tensor,
+    paired_order_penalty,
+    pairwise_order_penalty,
+)
 from xmodal.loss import (
     LossConfig,
     batch_loss,
     order_penalty,
-    paired_order_penalty,
-    pairwise_order_penalty,
     similarity,
     variance_term,
 )

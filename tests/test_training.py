@@ -277,6 +277,18 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="image"):
             train(data, params.with_tensors(tensors), cfg)
 
+    def test_empty_val_records_rejected_before_a_step(self, small_training_setup,
+                                                      monkeypatch):
+        data, cfg = small_training_setup
+
+        def no_step(*args):
+            raise AssertionError("a step ran before val_records was checked")
+
+        monkeypatch.setattr(training, "_batch_step", no_step)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="val_records is empty"):
+            train(replace(data, val_records=[]), params, cfg)
+
     def test_zero_epochs_rejected(self, small_training_setup):
         data, cfg = small_training_setup
         params = ModelParams.init(cfg.dims, np.random.default_rng(1))
@@ -322,7 +334,7 @@ class TestCheckpointResume:
         p = tmp_path / "ckpt.bin"
         save_training_checkpoint(p, result.params, result.adam, result.schedule)
         ck = load_checkpoint(p)
-        params2, adam2, schedule2 = restore_training_state(ck, cfg.dims, cfg)
+        params2, adam2, schedule2 = restore_training_state(ck, cfg)
         for name in result.params.tensors:
             np.testing.assert_array_equal(
                 params2.tensors[name], result.params.tensors[name])
@@ -354,7 +366,7 @@ class TestCheckpointResume:
                            cfg.dims.hidden_dim * 2, cfg.dims.feature_dim)
         from dataclasses import replace
         with pytest.raises(DataFormatError, match="shape"):
-            restore_training_state(ck, bigger, replace(cfg, dims=bigger))
+            restore_training_state(ck, replace(cfg, dims=bigger))
 
     def test_resume_twice_from_one_checkpoint_object(self, small_training_setup):
         # adam_step updates the moments in place, so restore must not alias them
@@ -385,7 +397,7 @@ class TestCheckpointResume:
         cfg, ck = self._checkpoint(small_training_setup)
         del ck.tensors["schedule.best_loss"]
         with pytest.raises(DataFormatError, match="missing tensor 'schedule.best_loss'"):
-            restore_training_state(ck, cfg.dims, cfg)
+            restore_training_state(ck, cfg)
 
     @pytest.mark.parametrize("moment", ["m", "v"])
     def test_moment_shape_mismatch_rejected(self, small_training_setup, moment):
@@ -394,7 +406,7 @@ class TestCheckpointResume:
         key = f"adam.{moment}.image.w1"
         ck.tensors[key] = ck.tensors[key][:1]
         with pytest.raises(DataFormatError, match=f"'{key}' has shape"):
-            restore_training_state(ck, cfg.dims, cfg)
+            restore_training_state(ck, cfg)
 
     def test_per_gate_checkpoint_rejected(self, small_training_setup):
         # the layout with one w, u and b per gate has no reader
@@ -405,7 +417,7 @@ class TestCheckpointResume:
                 for gate, block in zip("ifgo", np.split(fused, 4, axis=1)):
                     ck.tensors[f"{prefix}lstm.{kind}_{gate}"] = block
         with pytest.raises(DataFormatError, match="missing tensor 'lstm.w'"):
-            restore_training_state(ck, cfg.dims, cfg)
+            restore_training_state(ck, cfg)
 
     def test_resume_continues(self, small_training_setup, tmp_path):
         data, cfg = small_training_setup
@@ -480,6 +492,12 @@ class TestSharedRecordPath:
         with pytest.raises(DataFormatError,
                            match="record 'rec-7' references unknown feature 'missing'"):
             ev.evaluate_records(recs, data.features, data.vocab, params, cfg.seq_len)
+
+    def test_evaluating_no_records_says_so(self, small_training_setup):
+        data, cfg = small_training_setup
+        params = ModelParams.init(cfg.dims, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="nothing to evaluate"):
+            ev.evaluate_records([], data.features, data.vocab, params, cfg.seq_len)
 
 
 class TestGridSearch:
