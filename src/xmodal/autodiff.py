@@ -24,7 +24,9 @@ each block writes its rows of every step's gates into an (L, B, 4h) array
 and of the cells and hiddens into (L+1, B, h) arrays, kept in meta["saved"];
 the VJP pops them off the node, so they are freed as it returns, runs
 backpropagation through time on them and forms each gradient as one GEMM,
-sum or np.add.at over all steps.
+sum or np.add.at over all steps. BPTT writes each step's gate gradients dz
+over that step's saved gates, so backward allocates no second (L, B, 4h)
+array.
 
 order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
 and (M, j) rows as one node, built without an (N, M, j) intermediate;
@@ -325,20 +327,22 @@ def _bw_lstm(node, g):
     saved = node.meta.pop("saved")
     gates, cells, hiddens = saved["gates"], saved["cells"], saved["hiddens"]
     # Backpropagation through time: dz[t] is the gradient of step t's four
-    # gate preactivations, side by side like the columns of w, u and b.
-    dz = np.empty_like(gates)
+    # gate preactivations, side by side like the columns of w, u and b. It
+    # is written over gates[t], which nothing reads once dz[t] is formed.
+    dz = gates
     dh, dc = g, np.zeros((n, hid))
     for t in reversed(range(steps)):
         i, f, gg, o = np.split(gates[t], 4, axis=1)
         tc = np.tanh(cells[t + 1])
         dc = dc + dh * o * (1.0 - tc * tc)
-        np.concatenate((
+        parts = (
             dc * gg * i * (1.0 - i),
             dc * cells[t] * f * (1.0 - f),
             dc * i * (1.0 - gg * gg),
             dh * tc * o * (1.0 - o),
-        ), axis=1, out=dz[t])
-        dc = dc * f
+        )
+        dc = dc * f  # f is a view of gates[t], so before dz[t] is written
+        np.concatenate(parts, axis=1, out=dz[t])
         dh = dz[t] @ u.T
     # Weight gradients sum over all steps at once, as one GEMM each.
     dz = dz.reshape(steps * n, 4 * hid)

@@ -4,9 +4,10 @@ Training starts at lr 0.1 with batch size 16. When the epoch loss stops
 improving for `patience` epochs the learning rate halves; once halving
 would cross LR_FLOOR (1e-7) the batch size doubles instead and the rate
 resets. Runs stop after `max_epochs`, after `max_grow_cycles` batch-growth
-actions, or (by default) once an epoch shows zero loss with 100% R@1 in
-both directions: every hinge is satisfied globally and further steps would
-only apply optimizer-moment drift. Zero loss alone is not enough to stop:
+actions, or (by default) once an epoch shows zero loss with 100% R@1 on
+val_records in both directions: validated on the training records, every
+hinge is then satisfied globally and further steps would only apply
+optimizer-moment drift. Zero loss alone is not enough to stop:
 a pair violated across batches produces no loss until a later shuffle puts
 it into one batch.
 
@@ -160,7 +161,7 @@ class TrainingData:
     records: list
     features: FeatureTable
     vocab: Vocabulary
-    val_records: list | None = None  # falls back to the training records
+    val_records: list  # evaluated after each epoch; must be non-empty
 
 
 @dataclass
@@ -178,7 +179,10 @@ def prepare_pairs(records, features: FeatureTable, vocab: Vocabulary,
     """Flatten records into aligned (token_ids (N, L), feats (N, f)) pairs.
 
     "individual" makes one pair per caption; "concat" joins each record's
-    captions into one long description first (see io.record_rows).
+    captions into one long description first (see io.record_rows). Training
+    does not call this: it keeps one feature row per record and gathers each
+    batch's rows through io.record_rows' owner index, so a record's features
+    are not copied once per caption.
     """
     token_ids, owner, image_feats = record_rows(records, features, vocab, seq_len,
                                                 caption_mode)
@@ -275,14 +279,14 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
         raise ValueError(f"batch_size must be >= 2, got {schedule.batch_size}")
     if cfg.max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    token_ids, feats = prepare_pairs(
+    # One feature row per record; a batch gathers its rows through owner.
+    token_ids, owner, feats = record_rows(
         data.records, data.features, data.vocab, cfg.seq_len, cfg.caption_mode)
     n_pairs = len(token_ids)
     if n_pairs < 2:
         raise ValueError("need at least 2 training pairs to form negatives")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    val_records = data.val_records if data.val_records is not None else data.records
-    if not val_records:
+    if not data.val_records:
         raise ValueError("val_records is empty: nothing to evaluate after each epoch")
 
     log: list[dict] = []
@@ -299,13 +303,14 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
                 if len(batch) < 2:
                     continue  # a tail of one has no negatives
                 params, batch_loss_val = _batch_step(
-                    token_ids[batch], feats[batch], params, cfg, adam, schedule.lr)
+                    token_ids[batch], feats[owner[batch]], params, cfg, adam,
+                    schedule.lr)
                 loss_sum += batch_loss_val
                 pairs_seen += len(batch)
             epoch_loss = loss_sum / pairs_seen
 
             reports = evaluate_records(
-                val_records, data.features, data.vocab, params, cfg.seq_len,
+                data.val_records, data.features, data.vocab, params, cfg.seq_len,
                 protocol="full_5k", image_activation=cfg.image_activation)
             lr_logged, batch_logged = schedule.lr, schedule.batch_size
             schedule_update(schedule, epoch_loss)

@@ -217,7 +217,7 @@ def small_training_setup():
     cfg = TrainConfig(
         dims=dims, loss=LossConfig(alpha=0.05), seq_len=6, seed=3,
         batch_size=4, max_epochs=8, max_grow_cycles=2)
-    data = TrainingData(records, table, vocab)
+    data = TrainingData(records, table, vocab, records)
     return data, cfg
 
 
@@ -231,7 +231,7 @@ class TestTrainLoop:
         cfg = TrainConfig(dims=dims, loss=LossConfig(alpha=0.1), seq_len=4, max_epochs=1)
         params = ModelParams.init(dims, np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least 2"):
-            train(TrainingData(records, table, vocab), params, cfg)
+            train(TrainingData(records, table, vocab, records), params, cfg)
 
     def test_fixed_seed_reproducible(self, small_training_setup):
         data, cfg = small_training_setup
@@ -322,7 +322,7 @@ class TestTrainLoop:
         cfg = TrainConfig(dims=dims, loss=LossConfig(alpha=0.05), seq_len=4,
                           batch_size=2, max_epochs=2, seed=1)
         params = ModelParams.init(dims, np.random.default_rng(0))
-        result = train(TrainingData(records, table, vocab), params, cfg)
+        result = train(TrainingData(records, table, vocab, records), params, cfg)
         assert len(result.log) >= 1  # just has to survive the ragged tail
 
 
@@ -498,6 +498,35 @@ class TestSharedRecordPath:
         params = ModelParams.init(cfg.dims, np.random.default_rng(1))
         with pytest.raises(ValueError, match="nothing to evaluate"):
             ev.evaluate_records([], data.features, data.vocab, params, cfg.seq_len)
+
+    def test_steps_get_each_pairs_rows(self, small_training_setup, monkeypatch):
+        # training keeps one feature row per record and gathers a batch's rows
+        # through the caption owners; the steps must see prepare_pairs' pairs
+        data, cfg = small_training_setup
+        caps = [c for r in data.records for c in r.captions]
+        recs = [DatasetRecord(r.id, r.feature_ref,
+                              [caps[(i + k) % len(caps)] for k in range(1 + i % 3)])
+                for i, r in enumerate(data.records)]
+        cfg = replace(cfg, max_epochs=1, batch_size=5)
+        seen, step = [], training._batch_step
+
+        def spy(token_ids, feats, *args):
+            seen.append((token_ids, feats))
+            return step(token_ids, feats, *args)
+
+        monkeypatch.setattr(training, "_batch_step", spy)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(1))
+        train(replace(data, records=recs), params, cfg)
+
+        token_ids, feats = prepare_pairs(recs, data.features, data.vocab, cfg.seq_len)
+        order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).permutation(
+            len(token_ids))
+        batches = [order[lo:lo + cfg.batch_size]
+                   for lo in range(0, len(order), cfg.batch_size)]
+        assert len(token_ids) == 24 and len(seen) == len(batches) == 5
+        for (got_ids, got_feats), batch in zip(seen, batches):
+            np.testing.assert_array_equal(got_ids, token_ids[batch])
+            np.testing.assert_array_equal(got_feats, feats[batch])
 
 
 class TestGridSearch:
