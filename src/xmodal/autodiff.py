@@ -51,7 +51,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -518,44 +518,3 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     }
     tape.nodes.clear()
     return out
-
-
-def finite_diff_check(
-    builder: Callable[..., Tensor],
-    point: Sequence[np.ndarray],
-    step: float = 1e-5,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    `builder` maps leaf tensors to a scalar output and must be deterministic.
-    The numeric side re-evaluates `builder` on untracked constants, so it
-    never sees the tape it is checking.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    tape = Tape()
-    leaves = [tape.leaf(np.asarray(p, dtype=np.float64)) for p in point]
-    loss = builder(*leaves)
-    grads = backward(tape, loss)
-    analytic = [grads[leaf.node_id] for leaf in leaves]
-
-    def value_at(arrays: list[np.ndarray]) -> float:
-        out = builder(*(Tensor.const(a) for a in arrays))
-        return float(out.data)
-
-    base = [np.array(p, dtype=np.float64) for p in point]
-    worst = 0.0
-    for k, arr in enumerate(base):
-        flat = arr.reshape(-1)
-        ana = analytic[k].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = value_at(base)
-            flat[i] = orig - step
-            down = value_at(base)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * step)
-            err = abs(ana[i] - fd) / max(1.0, abs(fd))
-            worst = max(worst, err)
-    return worst

@@ -163,15 +163,14 @@ def retrieval_ranks(v_txt: np.ndarray, v_img: np.ndarray,
 
 
 def encode_corpus(records, features, vocab: Vocabulary, params: ModelParams,
-                  seq_len: int, image_activation: str = "relu_zero_floor",
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  seq_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Embed every image and caption of `records`.
 
     Returns (v_img (n_imgs, j), v_txt (n_caps, j), cap_owner).
     """
     token_ids, cap_owner, feats = record_rows(records, features, vocab, seq_len)
     p = params.as_tracked(None)
-    v_img = encode_image_batch(feats, p, image_activation).data
+    v_img = encode_image_batch(feats, p).data
     v_txt = encode_text_batch(token_ids, p).data
     return v_img, v_txt, cap_owner
 
@@ -252,11 +251,8 @@ def evaluate_embeddings(v_img, v_txt, cap_owner, protocol: str,
 
 
 def evaluate_records(records, features, vocab, params, seq_len: int,
-                     protocol: str = "full_5k",
-                     image_activation: str = "relu_zero_floor",
-                     ) -> dict[str, DirectionReport]:
-    v_img, v_txt, cap_owner = encode_corpus(
-        records, features, vocab, params, seq_len, image_activation)
+                     protocol: str = "full_5k") -> dict[str, DirectionReport]:
+    v_img, v_txt, cap_owner = encode_corpus(records, features, vocab, params, seq_len)
     return evaluate_embeddings(v_img, v_txt, cap_owner, protocol)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import INIT_SCALE
-from .text import Vocabulary, concat_captions, encode, normalize
+from .text import Vocabulary, encode, normalize
 
 FEATURE_MAGIC = b"IMFT"
 FEATURE_VERSION = 1
@@ -181,26 +181,21 @@ def load_dataset(path, features: FeatureTable | None = None) -> list[DatasetReco
 
 
 def record_rows(records, features: FeatureTable, vocab: Vocabulary, seq_len: int,
-                caption_mode: str = "individual",
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Model inputs for `records`: (token_ids (N, L) int64, cap_owner (N,)
     int64, feats (len(records), f) float64).
 
-    "individual" gives one token row per caption; "concat" joins each
-    record's captions into one description and row first. cap_owner maps a
-    token row to its record's index, which is also its row of feats. A
-    feature_ref missing from `features` raises DataFormatError naming the record.
+    There is one token row per caption. cap_owner maps a token row to its
+    record's index, which is also its row of feats. A feature_ref missing
+    from `features` raises DataFormatError naming the record.
     """
-    if caption_mode not in ("individual", "concat"):
-        raise ValueError(f"unknown caption_mode {caption_mode!r}")
     token_lists, owner = [], []
     for i, rec in enumerate(records):
         if rec.feature_ref not in features:
             raise DataFormatError(
                 f"record {rec.id!r} references unknown feature {rec.feature_ref!r}")
-        caps = [concat_captions(rec.captions)] if caption_mode == "concat" else rec.captions
-        token_lists += [normalize(cap) for cap in caps]
-        owner += [i] * len(caps)
+        token_lists += [normalize(cap) for cap in rec.captions]
+        owner += [i] * len(rec.captions)
     return (encode(token_lists, vocab, seq_len), np.asarray(owner, dtype=np.int64),
             features.matrix([rec.feature_ref for rec in records]))
 

@@ -1,4 +1,4 @@
-"""Order-violation penalty, similarity score, and the in-batch triplet loss.
+"""The in-batch triplet loss over order-violation penalties.
 
 Both embeddings live in the non-negative orthant and a text-image pair is
 scored by how badly the image fails to be dominated by the text:
@@ -6,9 +6,9 @@ scored by how badly the image fails to be dominated by the text:
     penalty(x, y) = || max(0, y - x) ||^2        (0 iff y <= x elementwise)
     score(t, i)   = -penalty(t, i)               (always <= 0)
 
-`order_penalty` here is the scalar oracle of one pair. The penalty of many
-rows is autodiff's: the order_penalty op, and its untracked entry points
-pairwise_order_penalty (a matrix) and paired_order_penalty (row against row).
+The penalty of many rows is autodiff's: the order_penalty op, and its
+untracked entry points pairwise_order_penalty (a matrix) and
+paired_order_penalty (row against row).
 
 For a batch of B aligned pairs, every other batch member of the opposite
 modality is a negative. With P the order_penalty matrix of the texts
@@ -51,28 +51,6 @@ class LossConfig:
             raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
         if self.variance_scope not in VARIANCE_SCOPES:
             raise ValueError(f"variance_scope must be one of {VARIANCE_SCOPES}")
-
-
-def order_penalty(x, y) -> float:
-    """Squared norm of the positive part of y - x."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ShapeError(f"order_penalty: shapes {x.shape} and {y.shape} differ")
-    return float(np.sum(np.maximum(0.0, y - x) ** 2))
-
-
-def similarity(v_txt, v_img) -> float:
-    """-order_penalty(v_txt, v_img); 0 is the best possible score."""
-    return -order_penalty(v_txt, v_img)
-
-
-def variance_term(v) -> float:
-    """Population variance of the vector's components."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size < 1:
-        raise ShapeError("variance_term: empty vector")
-    return float(np.mean((v - np.mean(v)) ** 2))
 
 
 def _row_variances(rows: Tensor) -> Tensor:

@@ -9,10 +9,11 @@ them, the gates side by side in GATES order. The LSTM hidden size equals
 the joint dimension, so the text branch needs no projection.
 
 Image: two affine layers on a precomputed feature vector with a zero-floor
-rectifier between them (configurable to identity), then absolute value.
+rectifier between them, then absolute value.
 
-All functions accept a batch of row vectors; pass tape=None for inference
-(no graph is recorded) or a Tape to make the result differentiable.
+All functions accept a batch of row vectors and a parameter dict from
+ModelParams.as_tracked: as_tracked(None) for inference (constants, no graph
+is recorded) or as_tracked(tape) to make the result differentiable.
 """
 
 from __future__ import annotations
@@ -106,10 +107,6 @@ class ModelParams:
         np.split(tensors["lstm.b"], 4, axis=1)[GATES.index("f")][:] = 1.0  # forget bias 1
         return cls(dims, tensors)
 
-    @classmethod
-    def zeros(cls, dims: ModelDims) -> "ModelParams":
-        return cls(dims, {n: np.zeros(s) for n, s in param_shapes(dims).items()})
-
     def with_tensors(self, tensors: dict[str, np.ndarray]) -> "ModelParams":
         return ModelParams(self.dims, tensors)
 
@@ -135,20 +132,15 @@ def encode_text_batch(token_ids: np.ndarray, p: dict[str, Tensor]) -> Tensor:
                                token_ids))
 
 
-def encode_image_batch(feats: np.ndarray | Tensor, p: dict[str, Tensor],
-                       activation: str = "relu_zero_floor") -> Tensor:
+def encode_image_batch(feats: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     """Encode (B, f) feature rows to (B, j) non-negative embeddings."""
-    x = feats if isinstance(feats, Tensor) else Tensor.const(feats)
+    x = Tensor.const(feats)
     if x.data.ndim != 2 or x.shape[1] != p["image.w1"].shape[0]:
         raise ad.ShapeError(
             f"encode_image_batch: features {x.shape} do not match w1 {p['image.w1'].shape}"
         )
     n = x.shape[0]
-    hidden = ad.add(ad.matmul(x, p["image.w1"]), _bias_rows(p["image.b1"], n))
-    if activation == "relu_zero_floor":
-        hidden = ad.relu(hidden)
-    elif activation != "identity":
-        raise ValueError(f"unknown image activation {activation!r}")
+    hidden = ad.relu(ad.add(ad.matmul(x, p["image.w1"]), _bias_rows(p["image.b1"], n)))
     out = ad.add(ad.matmul(hidden, p["image.w2"]), _bias_rows(p["image.b2"], n))
     return ad.absolute(out)
 

@@ -58,10 +58,6 @@ def normalize(text: str | bytes) -> list[str]:
     return out
 
 
-def concat_captions(captions: list[str]) -> str:
-    return " ".join(captions)
-
-
 class Vocabulary:
     """Stemmed token -> index map; indices are contiguous 1..d, 0 is padding."""
 

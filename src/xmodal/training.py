@@ -5,11 +5,11 @@ improving for `patience` epochs the learning rate halves; once halving
 would cross LR_FLOOR (1e-7) the batch size doubles instead and the rate
 resets. Runs stop after `max_epochs`, after `max_grow_cycles` batch-growth
 actions, or (by default) once an epoch shows zero loss with 100% R@1 on
-val_records in both directions: validated on the training records, every
-hinge is then satisfied globally and further steps would only apply
-optimizer-moment drift. Zero loss alone is not enough to stop:
-a pair violated across batches produces no loss until a later shuffle puts
-it into one batch.
+val_records in both directions. Only when val_records are the training
+records does that mean every hinge is satisfied globally, so that further
+steps would only apply optimizer-moment drift. Zero loss alone is not
+enough to stop: a pair violated across batches produces no loss until a
+later shuffle puts it into one batch.
 
 Everything is a deterministic function of (data, config, seed): shuffles
 come from a dedicated child generator, batches are consumed in order, and
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -152,8 +152,6 @@ class TrainConfig:
     max_epochs: int = 500
     max_grow_cycles: int = 3
     stop_when_perfect: bool = True
-    caption_mode: str = "individual"  # or "concat"
-    image_activation: str = "relu_zero_floor"
 
 
 @dataclass
@@ -174,18 +172,15 @@ class TrainResult:
 
 
 def prepare_pairs(records, features: FeatureTable, vocab: Vocabulary,
-                  seq_len: int, caption_mode: str = "individual",
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten records into aligned (token_ids (N, L), feats (N, f)) pairs.
+                  seq_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten records into aligned (token_ids (N, L), feats (N, f)) pairs,
+    one pair per caption.
 
-    "individual" makes one pair per caption; "concat" joins each record's
-    captions into one long description first (see io.record_rows). Training
-    does not call this: it keeps one feature row per record and gathers each
-    batch's rows through io.record_rows' owner index, so a record's features
-    are not copied once per caption.
+    Training does not call this: it keeps one feature row per record and
+    gathers each batch's rows through io.record_rows' owner index, so a
+    record's features are not copied once per caption.
     """
-    token_ids, owner, image_feats = record_rows(records, features, vocab, seq_len,
-                                                caption_mode)
+    token_ids, owner, image_feats = record_rows(records, features, vocab, seq_len)
     if not len(token_ids):
         raise ValueError("no training pairs")
     return token_ids, image_feats[owner]
@@ -196,7 +191,7 @@ def _batch_step(token_ids, feats, params: ModelParams, cfg: TrainConfig,
     tape = ad.Tape()
     tracked = params.as_tracked(tape)
     v_txt = encode_text_batch(token_ids, tracked)
-    v_img = encode_image_batch(feats, tracked, cfg.image_activation)
+    v_img = encode_image_batch(feats, tracked)
     for branch, v in (("text", v_txt), ("image", v_img)):
         if not np.isfinite(v.data).all():
             raise NumericsError(f"non-finite {branch} embedding batch")
@@ -280,8 +275,8 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
     if cfg.max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
     # One feature row per record; a batch gathers its rows through owner.
-    token_ids, owner, feats = record_rows(
-        data.records, data.features, data.vocab, cfg.seq_len, cfg.caption_mode)
+    token_ids, owner, feats = record_rows(data.records, data.features, data.vocab,
+                                          cfg.seq_len)
     n_pairs = len(token_ids)
     if n_pairs < 2:
         raise ValueError("need at least 2 training pairs to form negatives")
@@ -309,9 +304,8 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
                 pairs_seen += len(batch)
             epoch_loss = loss_sum / pairs_seen
 
-            reports = evaluate_records(
-                data.val_records, data.features, data.vocab, params, cfg.seq_len,
-                protocol="full_5k", image_activation=cfg.image_activation)
+            reports = evaluate_records(data.val_records, data.features, data.vocab,
+                                       params, cfg.seq_len, protocol="full_5k")
             lr_logged, batch_logged = schedule.lr, schedule.batch_size
             schedule_update(schedule, epoch_loss)
             entry = {
@@ -346,18 +340,20 @@ def grid_search(grid: dict[str, list], data: TrainingData, base_cfg: TrainConfig
                 ) -> tuple[TrainConfig, list[dict]]:
     """Train one model per grid point and select by validation R@1 sum.
 
-    Points are visited in Cartesian-product order of the grid's insertion
-    order; ties keep the earliest point.
+    A key naming a LossConfig field sets that field of the config's loss;
+    any other key sets a TrainConfig field. Points are visited in
+    Cartesian-product order of the grid's insertion order; ties keep the
+    earliest point.
     """
     if not grid:
         raise ValueError("grid must be non-empty")
     keys = list(grid)
+    loss_fields = {f.name for f in fields(LossConfig)}
     results = []
     best_cfg, best_score = None, -1.0
     for values in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, values))
-        loss_over = {k: v for k, v in overrides.items()
-                     if k in ("alpha", "lambda_var", "negative_mode", "variance_scope")}
+        loss_over = {k: v for k, v in overrides.items() if k in loss_fields}
         cfg_over = {k: v for k, v in overrides.items() if k not in loss_over}
         cfg = replace(base_cfg, **cfg_over)
         if loss_over:

@@ -1,0 +1,82 @@
+"""Test oracles: scalar penalty and variance, central finite differences,
+and all-zero model parameters.
+
+The pipeline never calls these; the tests compare it against them.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from xmodal.autodiff import ShapeError, Tape, Tensor, backward
+from xmodal.model import ModelDims, ModelParams, param_shapes
+
+
+def order_penalty(x, y) -> float:
+    """Squared norm of the positive part of y - x."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ShapeError(f"order_penalty: shapes {x.shape} and {y.shape} differ")
+    return float(np.sum(np.maximum(0.0, y - x) ** 2))
+
+
+def similarity(v_txt, v_img) -> float:
+    """-order_penalty(v_txt, v_img); 0 is the best possible score."""
+    return -order_penalty(v_txt, v_img)
+
+
+def variance_term(v) -> float:
+    """Population variance of the vector's components."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size < 1:
+        raise ShapeError("variance_term: empty vector")
+    return float(np.mean((v - np.mean(v)) ** 2))
+
+
+def zero_params(dims: ModelDims) -> ModelParams:
+    """Every parameter all zeros."""
+    return ModelParams(dims, {n: np.zeros(s) for n, s in param_shapes(dims).items()})
+
+
+def finite_diff_check(
+    builder: Callable[..., Tensor],
+    point: Sequence[np.ndarray],
+    step: float = 1e-5,
+) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    `builder` maps leaf tensors to a scalar output and must be deterministic.
+    The numeric side re-evaluates `builder` on untracked constants, so it
+    never sees the tape it is checking.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    tape = Tape()
+    leaves = [tape.leaf(np.asarray(p, dtype=np.float64)) for p in point]
+    loss = builder(*leaves)
+    grads = backward(tape, loss)
+    analytic = [grads[leaf.node_id] for leaf in leaves]
+
+    def value_at(arrays: list[np.ndarray]) -> float:
+        out = builder(*(Tensor.const(a) for a in arrays))
+        return float(out.data)
+
+    base = [np.array(p, dtype=np.float64) for p in point]
+    worst = 0.0
+    for k, arr in enumerate(base):
+        flat = arr.reshape(-1)
+        ana = analytic[k].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = value_at(base)
+            flat[i] = orig - step
+            down = value_at(base)
+            flat[i] = orig
+            fd = (up - down) / (2.0 * step)
+            err = abs(ana[i] - fd) / max(1.0, abs(fd))
+            worst = max(worst, err)
+    return worst

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from reference import order_penalty
 from xmodal import autodiff as ad
 from xmodal import evaluation as ev
 from xmodal.evaluation import (
@@ -22,7 +23,6 @@ from xmodal.evaluation import (
     retrieval_ranks,
 )
 from xmodal.autodiff import pairwise_order_penalty
-from xmodal.loss import order_penalty
 
 
 def brute_force_rank(scores, relevant):
@@ -230,6 +230,25 @@ class TestProtocols:
         assert sr.folds[0].n_queries == 1000
         ir = reports["image_retrieval"]
         assert ir.folds[0].n_queries == 2000  # 1000 images x 2 captions
+
+    def test_each_fold_is_full_5k_on_its_images_and_their_captions(self):
+        # 6500 images: at most 5 folds are taken and the ragged tail is
+        # ignored; shuffled owners mean a fold's captions are not contiguous
+        rng = np.random.default_rng(5)
+        n_imgs, caps_per = 6500, 2
+        v_img = np.round(rng.uniform(0, 1, (n_imgs, 3)), 1)
+        v_txt = np.round(rng.uniform(0, 1, (n_imgs * caps_per, 3)), 1)
+        owner = rng.permutation(np.repeat(np.arange(n_imgs), caps_per))
+        reports = evaluate_embeddings(v_img, v_txt, owner, "folds_1k")
+        for direction in ("sentence_retrieval", "image_retrieval"):
+            assert len(reports[direction].folds) == 5
+        for fold in range(5):
+            lo, hi = fold * 1000, (fold + 1) * 1000
+            caps = (owner >= lo) & (owner < hi)
+            want = evaluate_embeddings(v_img[lo:hi], v_txt[caps], owner[caps] - lo,
+                                       "full_5k")
+            for direction, report in want.items():
+                assert reports[direction].folds[fold] == report.overall
 
     def test_image_without_caption_is_rejected(self):
         # image 1 owns no caption, so it has no rank to report

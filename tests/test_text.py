@@ -10,7 +10,6 @@ from xmodal.text import (
     STOPWORDS,
     Vocabulary,
     build_vocab,
-    concat_captions,
     encode,
     load_vocab,
     normalize,
@@ -78,17 +77,6 @@ class TestBuildVocab:
     def test_indices_are_bijection_onto_1_to_d(self, corpus):
         v = build_vocab(corpus, min_freq=1)
         assert sorted(v.word_to_index.values()) == list(range(1, v.size + 1))
-
-
-class TestConcat:
-    def test_join(self):
-        assert concat_captions(["a cat", "on mat"]) == "a cat on mat"
-
-    def test_empty_element(self):
-        assert concat_captions([""]) == ""
-
-    def test_singleton(self):
-        assert concat_captions(["x"]) == "x"
 
 
 class TestEncode:

@@ -306,7 +306,7 @@ class TestTrainLoop:
             tape = ad.Tape()
             p = params.as_tracked(tape)
             v_txt = encode_text_batch(token_ids[:4], p)
-            v_img = encode_image_batch(feats[:4], p, cfg.image_activation)
+            v_img = encode_image_batch(feats[:4], p)
             batch_loss(v_txt, v_img, replace(cfg.loss, lambda_var=0.05,
                                              variance_scope=scope))
             kinds |= {node.kind for node in tape.nodes}
@@ -443,15 +443,12 @@ class TestCheckpointResume:
 
 
 class TestPreparePairs:
-    def test_individual_vs_concat(self, small_training_setup):
+    def test_one_pair_per_caption(self, small_training_setup):
         data, cfg = small_training_setup
         recs = [DatasetRecord("a", data.records[0].feature_ref, ["one cap", "two cap"]),
                 DatasetRecord("b", data.records[1].feature_ref, ["three cap"])]
-        ids_ind, feats_ind = prepare_pairs(recs, data.features, data.vocab, 6,
-                                           "individual")
-        assert len(ids_ind) == 3
-        ids_cat, feats_cat = prepare_pairs(recs, data.features, data.vocab, 6, "concat")
-        assert len(ids_cat) == 2
+        ids, _ = prepare_pairs(recs, data.features, data.vocab, 6)
+        assert len(ids) == 3
 
     def test_missing_feature_names_the_record(self, small_training_setup):
         data, _ = small_training_setup
@@ -459,11 +456,6 @@ class TestPreparePairs:
         with pytest.raises(DataFormatError,
                            match="record 'rec-7' references unknown feature 'missing'"):
             prepare_pairs(recs, data.features, data.vocab, 6)
-
-    def test_unknown_mode(self, small_training_setup):
-        data, _ = small_training_setup
-        with pytest.raises(ValueError, match="caption_mode"):
-            prepare_pairs(data.records, data.features, data.vocab, 6, "both")
 
 
 class TestSharedRecordPath:
@@ -574,6 +566,21 @@ class TestGridSearch:
             assert (res["r1_sent"], res["r1_img"]) == (log[-1]["val_r1_sent"],
                                                       log[-1]["val_r1_img"])
             assert res["score"] == res["r1_sent"] + res["r1_img"]
+
+    def test_mixed_grid_sets_loss_and_train_fields(self, small_training_setup,
+                                                   monkeypatch):
+        data, cfg = small_training_setup
+        seen, run = [], training.train
+
+        def spy(data, params, cfg, *args, **kwargs):
+            seen.append((cfg.loss.alpha, cfg.lr_init))
+            return run(data, params, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(training, "train", spy)
+        _, results = grid_search({"alpha": [0.05, 0.1], "lr_init": [0.0, 0.02]}, data,
+                                 replace(cfg, max_epochs=1))
+        assert seen == [(r["alpha"], r["lr_init"]) for r in results] == [
+            (0.05, 0.0), (0.05, 0.02), (0.1, 0.0), (0.1, 0.02)]
 
     def test_empty_grid_rejected(self, small_training_setup):
         data, cfg = small_training_setup
