@@ -192,7 +192,9 @@ def _blocks(n: int, size: int) -> list[slice]:
     """Slices of near-equal length, at most `size` (and at least 1), covering range(n).
 
     Equal lengths keep a last block from shrinking to one row, which numpy
-    would hand to gemv rather than gemm, with different rounding.
+    would hand to gemv rather than gemm, with different rounding: for n >= 2
+    and size >= 3 no block has one row. Size 2 can still leave one, since
+    _blocks(3, 2) gives rows 0:1 and 1:3.
     """
     count = max(1, -(-n // max(1, size)))
     edges = [n * k // count for k in range(count + 1)]

@@ -107,9 +107,6 @@ class ModelParams:
         np.split(tensors["lstm.b"], 4, axis=1)[GATES.index("f")][:] = 1.0  # forget bias 1
         return cls(dims, tensors)
 
-    def with_tensors(self, tensors: dict[str, np.ndarray]) -> "ModelParams":
-        return ModelParams(self.dims, tensors)
-
     def as_tracked(self, tape: Tape | None) -> dict[str, Tensor]:
         """Parameters as leaves of `tape`, or constants when tape is None."""
         if tape is None:
@@ -126,7 +123,9 @@ def encode_text_batch(token_ids: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     """Encode (B, L) padded index rows to (B, j) non-negative embeddings.
 
     All L positions run through the LSTM; only the final hidden state is
-    kept, projected by elementwise absolute value.
+    kept, projected by elementwise absolute value. One caption encoded alone
+    can differ in its last bits from the same caption inside a batch: numpy
+    runs a one-row h @ u as gemv rather than gemm, which rounds differently.
     """
     return ad.absolute(ad.lstm(p["embedding"], p["lstm.w"], p["lstm.u"], p["lstm.b"],
                                token_ids))

@@ -42,10 +42,8 @@ def _load_stopwords() -> frozenset[str]:
 STOPWORDS = _load_stopwords()
 
 
-def normalize(text: str | bytes) -> list[str]:
+def normalize(text: str) -> list[str]:
     """Raw caption -> clean stemmed tokens, original order preserved."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="ignore")
     stripped = _STRIP.sub("", text.lower())
     out = []
     for token in stripped.split():

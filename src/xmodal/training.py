@@ -1,19 +1,22 @@
 """Adam optimization with the plateau schedule, minibatching, grid search.
 
 Training starts at lr 0.1 with batch size 16. When the epoch loss stops
-improving for `patience` epochs the learning rate halves; once halving
-would cross LR_FLOOR (1e-7) the batch size doubles instead and the rate
-resets. Runs stop after `max_epochs`, after `max_grow_cycles` batch-growth
-actions, or (by default) once an epoch shows zero loss with 100% R@1 on
-val_records in both directions. Only when val_records are the training
-records does that mean every hinge is satisfied globally, so that further
-steps would only apply optimizer-moment drift. Zero loss alone is not
+improving (by the relative IMPROVE_TOL) for PATIENCE epochs the learning
+rate halves; once halving would cross LR_FLOOR (1e-7) the batch size
+doubles instead and the rate resets to lr_init. Runs stop after
+`max_epochs`, after `max_grow_cycles` batch-growth actions, or (by
+default) once an epoch shows zero loss with 100% R@1 on val_records in
+both directions. Only when val_records are the training records does
+that mean every hinge is satisfied globally, so that further steps would
+only apply optimizer-moment drift. Zero loss alone is not
 enough to stop: a pair violated across batches produces no loss until a
 later shuffle puts it into one batch.
 
 Everything is a deterministic function of (data, config, seed): shuffles
 come from a dedicated child generator, batches are consumed in order, and
-gradient summation order is fixed.
+gradient summation order is fixed. `train` works on its own copy of the
+parameters, which `adam_step` updates in place like the Adam moments, so
+the caller's parameters are left as they were.
 """
 
 from __future__ import annotations
@@ -31,14 +34,16 @@ from .io import Checkpoint, DataFormatError, FeatureTable, record_rows, save_che
 from .loss import LossConfig, batch_loss
 from .model import (ModelDims, ModelParams, encode_image_batch, encode_text_batch,
                     param_shapes)
-from .text import Vocabulary
+from .text import DEFAULT_SEQ_LEN, Vocabulary
 
 LR_INIT_DEFAULT = 0.1
 LR_FLOOR = 1e-7
+PATIENCE = 3  # epochs without improvement before the schedule acts
+IMPROVE_TOL = 1e-4  # relative drop below best_loss that counts as improvement
 BATCH_INIT_DEFAULT = 16
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the textbook defaults
-# Elements per block of adam_step: the block's slices of its five arrays and
-# one scratch array (128 KiB each) stay in cache through the dozen passes.
+# Elements per block of adam_step: the block's slices of its four arrays and
+# two scratch arrays (128 KiB each) stay in cache through the dozen passes.
 ADAM_BLOCK = 1 << 14
 
 
@@ -59,8 +64,9 @@ class AdamState:
 
 
 def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; returns new tensors, mutates state."""
+              state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of `tensors`, `state.m` and `state.v`,
+    in place. Nothing is written unless lr and every gradient are finite."""
     if not 0 <= lr < np.inf:  # NaN fails both comparisons
         raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
     for name, g in grads.items():
@@ -70,17 +76,15 @@ def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     t = state.t
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    tmp = np.empty(ADAM_BLOCK)  # scratch that stays in cache across blocks
-    out = {}
+    tmp, upd = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)  # scratch kept in cache
     for name, theta in tensors.items():
         g, m, v = grads[name], state.m[name], state.v[name]
-        new = np.empty(theta.shape)
-        # Flat views; an array not in C order gives a copy, so the moments'
-        # copies are written back below.
-        flat = [a.reshape(-1) for a in (theta, g, m, v, new)]
+        # Flat views; an array not in C order gives a copy, so the copies of
+        # theta and the moments are written back below.
+        flat = [a.reshape(-1) for a in (theta, g, m, v)]
         for lo in range(0, theta.size, ADAM_BLOCK):
-            th, gb, mb, vb, nb = (a[lo:lo + ADAM_BLOCK] for a in flat)
-            tb = tmp[:th.size]
+            th, gb, mb, vb = (a[lo:lo + ADAM_BLOCK] for a in flat)
+            tb, nb = tmp[:th.size], upd[:th.size]
             # The textbook order of operations, so blocking keeps every bit.
             np.multiply(1.0 - ADAM_BETA1, gb, out=tb)
             mb *= ADAM_BETA1
@@ -94,12 +98,10 @@ def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             np.divide(mb, bc1, out=nb)
             nb *= lr
             nb /= tb  # lr * m_hat / (sqrt(v_hat) + eps)
-            np.subtract(th, nb, out=nb)
-        for moment, f in ((m, flat[2]), (v, flat[3])):
-            if not np.may_share_memory(moment, f):
-                moment[...] = f.reshape(moment.shape)
-        out[name] = new
-    return out
+            np.subtract(th, nb, out=th)
+        for a, f in ((theta, flat[0]), (m, flat[2]), (v, flat[3])):
+            if not np.may_share_memory(a, f):
+                a[...] = f.reshape(a.shape)
 
 
 @dataclass
@@ -108,35 +110,33 @@ class ScheduleState:
     batch_size: int = BATCH_INIT_DEFAULT
     best_loss: float = float("inf")
     epochs_since_improve: int = 0
-    patience: int = 3
-    tol: float = 1e-4
-    lr_reset: float = LR_INIT_DEFAULT
     grow_cycles: int = 0
 
 
-def schedule_update(state: ScheduleState, epoch_loss: float) -> str:
+def schedule_update(state: ScheduleState, epoch_loss: float, lr_init: float) -> str:
     """Advance the plateau state machine; returns the action taken.
 
-    Actions: "none", "halve_lr", or "grow_batch_reset_lr". Improvement means
-    dropping below best_loss by a relative tolerance.
+    Actions: "none", "halve_lr", or "grow_batch_reset_lr" (the rate goes back
+    to lr_init). Improvement means dropping below best_loss by IMPROVE_TOL,
+    relative.
     """
     if np.isinf(state.best_loss):
         improved = True
     else:
-        improved = epoch_loss < state.best_loss - state.tol * abs(state.best_loss)
+        improved = epoch_loss < state.best_loss - IMPROVE_TOL * abs(state.best_loss)
     if improved:
         state.best_loss = epoch_loss
         state.epochs_since_improve = 0
         return "none"
     state.epochs_since_improve += 1
-    if state.epochs_since_improve < state.patience:
+    if state.epochs_since_improve < PATIENCE:
         return "none"
     state.epochs_since_improve = 0
     if state.lr / 2.0 >= LR_FLOOR:
         state.lr /= 2.0
         return "halve_lr"
     state.batch_size *= 2
-    state.lr = state.lr_reset
+    state.lr = lr_init
     state.grow_cycles += 1
     return "grow_batch_reset_lr"
 
@@ -145,7 +145,7 @@ def schedule_update(state: ScheduleState, epoch_loss: float) -> str:
 class TrainConfig:
     dims: ModelDims
     loss: LossConfig
-    seq_len: int = 70
+    seq_len: int = DEFAULT_SEQ_LEN
     seed: int = 0
     lr_init: float = LR_INIT_DEFAULT
     batch_size: int = BATCH_INIT_DEFAULT
@@ -187,7 +187,7 @@ def prepare_pairs(records, features: FeatureTable, vocab: Vocabulary,
 
 
 def _batch_step(token_ids, feats, params: ModelParams, cfg: TrainConfig,
-                adam: AdamState, lr: float) -> tuple[ModelParams, float]:
+                adam: AdamState, lr: float) -> float:
     tape = ad.Tape()
     tracked = params.as_tracked(tape)
     v_txt = encode_text_batch(token_ids, tracked)
@@ -200,15 +200,14 @@ def _batch_step(token_ids, feats, params: ModelParams, cfg: TrainConfig,
         raise NumericsError(f"non-finite batch loss {float(loss_t.data)!r}")
     grads_by_node = ad.backward(tape, loss_t)
     grads = {name: grads_by_node[leaf.node_id] for name, leaf in tracked.items()}
-    new_tensors = adam_step(params.tensors, grads, adam, lr)
-    return params.with_tensors(new_tensors), float(loss_t.data)
+    adam_step(params.tensors, grads, adam, lr)
+    return float(loss_t.data)
 
 
 def train(data: TrainingData, params: ModelParams, cfg: TrainConfig,
           log_path=None) -> TrainResult:
     """Run the full schedule; returns trained parameters and the epoch log."""
-    schedule = ScheduleState(lr=cfg.lr_init, batch_size=cfg.batch_size,
-                             lr_reset=cfg.lr_init)
+    schedule = ScheduleState(lr=cfg.lr_init, batch_size=cfg.batch_size)
     return _train_from_state(data, params, AdamState.zeros_like(params.tensors),
                              schedule, cfg, log_path)
 
@@ -256,7 +255,7 @@ def restore_training_state(ck: Checkpoint, cfg: TrainConfig,
         lr=ck.lr, batch_size=ck.batch_size,
         best_loss=float(read("schedule.best_loss", (1,))[0]),
         epochs_since_improve=int(read("schedule.epochs_since_improve", (1,))[0]),
-        lr_reset=cfg.lr_init, grow_cycles=ck.phase)
+        grow_cycles=ck.phase)
     return params, AdamState(m, v, t=ck.step), schedule
 
 
@@ -283,6 +282,8 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     if not data.val_records:
         raise ValueError("val_records is empty: nothing to evaluate after each epoch")
+    # adam_step updates this copy in place; the caller's parameters stay as they were
+    params = ModelParams(params.dims, {n: a.copy() for n, a in params.tensors.items()})
 
     log: list[dict] = []
     sink = open(log_path, "a", encoding="utf-8") if log_path else None
@@ -297,17 +298,16 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
                 batch = order[lo : lo + schedule.batch_size]
                 if len(batch) < 2:
                     continue  # a tail of one has no negatives
-                params, batch_loss_val = _batch_step(
+                loss_sum += _batch_step(
                     token_ids[batch], feats[owner[batch]], params, cfg, adam,
                     schedule.lr)
-                loss_sum += batch_loss_val
                 pairs_seen += len(batch)
             epoch_loss = loss_sum / pairs_seen
 
             reports = evaluate_records(data.val_records, data.features, data.vocab,
                                        params, cfg.seq_len, protocol="full_5k")
             lr_logged, batch_logged = schedule.lr, schedule.batch_size
-            schedule_update(schedule, epoch_loss)
+            schedule_update(schedule, epoch_loss, cfg.lr_init)
             entry = {
                 "epoch": epoch,
                 "loss": epoch_loss,

@@ -311,7 +311,8 @@ class TestBlockedKernels:
     """The blocked order_penalty and lstm forwards give the same bits as one
     block: every entry is computed the same way whatever the blocking."""
 
-    @pytest.mark.parametrize("n, size", [(0, 4), (1, 4), (4, 4), (5, 4), (11, 4), (9, 2)])
+    @pytest.mark.parametrize("n, size", [(0, 4), (1, 4), (4, 4), (5, 4), (11, 4), (9, 2),
+                                         (2, 512), (513, 512), (1025, 512), (11, 3)])
     def test_blocks_cover_rows_in_near_equal_slices(self, n, size):
         blocks = ad._blocks(n, size)
         lengths = [r.stop - r.start for r in blocks]
@@ -319,6 +320,8 @@ class TestBlockedKernels:
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
         assert len(blocks) == max(1, -(-n // size))
+        if n >= 2 and size >= 3:
+            assert min(lengths) >= 2  # no one-row block, which numpy runs as gemv
 
     @pytest.mark.parametrize("n, m, j, rows", [
         (11, 7, 5, 4),   # blocks of 3, 4 and 4 rows
@@ -345,7 +348,7 @@ class TestBlockedKernels:
         blocks = [r.stop - r.start for r in ad._blocks(n, rows)]
         assert submitted == (blocks if len(blocks) > 1 else [])
 
-    @pytest.mark.parametrize("block", [1, 3, 4, 100])
+    @pytest.mark.parametrize("block", [3, 4, 100])  # a 1-row block runs h @ u as gemv
     def test_blocked_tape_free_lstm_matches_taped(self, monkeypatch, block):
         rng = np.random.default_rng(22)
         params = _lstm_params(rng, vocab=9, e=5, h=3)

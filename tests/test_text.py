@@ -32,10 +32,6 @@ class TestNormalize:
         assert normalize("#cats") == ["cat"]
         assert normalize("http://x.io/a?q=1") == ["httpxioaq1"]
 
-    def test_bytes_input_bad_encoding_dropped(self):
-        # invalid bytes vanish character-wise before tokenization
-        assert normalize(b"ca\xff\xfet open") == ["cat", "open"]
-
     def test_token_whose_stem_is_a_stopword_is_dropped(self):
         # "sos" stems to "so", which is pinned
         assert "so" in STOPWORDS

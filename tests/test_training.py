@@ -1,6 +1,6 @@
 """Optimizer, schedule, and training-loop tests."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,23 +36,23 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         tensors = {"w": np.array([1.0, -2.0, 3.0])}
         state = AdamState.zeros_like(tensors)
-        out = adam_step(tensors, {"w": np.zeros(3)}, state, lr=0.1)
-        np.testing.assert_array_equal(out["w"], tensors["w"])
+        adam_step(tensors, {"w": np.zeros(3)}, state, lr=0.1)
+        np.testing.assert_array_equal(tensors["w"], [1.0, -2.0, 3.0])
         assert state.t == 1
 
     def test_first_step_is_signed_lr(self):
         g = np.array([0.3, -0.7, 2.0])
         tensors = {"w": np.zeros(3)}
         state = AdamState.zeros_like(tensors)
-        out = adam_step(tensors, {"w": g}, state, lr=0.05)
+        adam_step(tensors, {"w": g}, state, lr=0.05)
         # m_hat = g, v_hat = g^2: update = -lr * g / (|g| + eps)
-        np.testing.assert_allclose(out["w"], -0.05 * np.sign(g), rtol=1e-6)
+        np.testing.assert_allclose(tensors["w"], -0.05 * np.sign(g), rtol=1e-6)
 
     @pytest.mark.parametrize("shape, order", [
         ((3,), "C"),
         ((ADAM_BLOCK,), "C"),
         ((2 * ADAM_BLOCK + 5,), "C"),  # two full blocks and a partial one
-        # flattening a moment not in C order makes a copy, which must not
+        # flattening an array not in C order makes a copy, which must not
         # swallow the update
         ((129, 131), "F"),
     ], ids=["3", "one-block", "two-blocks-and-5", "fortran-2d"])
@@ -72,11 +72,12 @@ class TestAdam:
         tensors = {"w": theta}
         state = AdamState.zeros_like(tensors)
         moments = state.m["w"], state.v["w"]
-        out = adam_step(tensors, {"w": g1}, state, lr)
-        out = adam_step(out, {"w": g2}, state, lr)
+        assert adam_step(tensors, {"w": g1}, state, lr) is None
+        adam_step(tensors, {"w": g2}, state, lr)
         # blocking changes no bit
-        np.testing.assert_array_equal(out["w"], want)
-        # the moments are updated in place
+        np.testing.assert_array_equal(tensors["w"], want)
+        # the parameters and the moments are updated in place
+        assert tensors["w"] is theta
         assert state.m["w"] is moments[0] and state.v["w"] is moments[1]
         np.testing.assert_array_equal(state.m["w"], m)
         np.testing.assert_array_equal(state.v["w"], v)
@@ -84,17 +85,17 @@ class TestAdam:
     def test_nan_gradient_aborts_naming_parameter(self):
         tensors = {"lstm.u": np.ones(3), "lstm.w": np.zeros(2)}
         state = AdamState.zeros_like(tensors)
-        tensors = adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.ones(2)},
-                            state, 0.1)
+        adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.ones(2)}, state, 0.1)
+        theta = {n: a.copy() for n, a in tensors.items()}
         m, v = ({n: a.copy() for n, a in d.items()} for d in (state.m, state.v))
         with pytest.raises(NumericsError, match="'lstm.w'"):
             adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.array([1.0, np.nan])},
                       state, 0.1)
         # the first tensor's update did not start either
         assert state.t == 1
-        for moments, before in ((state.m, m), (state.v, v)):
+        for arrays, before in ((tensors, theta), (state.m, m), (state.v, v)):
             for name, a in before.items():
-                np.testing.assert_array_equal(moments[name], a)
+                np.testing.assert_array_equal(arrays[name], a)
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-3])
     def test_non_finite_or_negative_lr_rejected(self, lr):
@@ -108,72 +109,79 @@ class TestAdam:
         rng = np.random.default_rng(1)
         tensors = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 7))}
         state = AdamState.zeros_like(tensors)
-        out = adam_step(tensors, {n: rng.normal(size=a.shape) for n, a in tensors.items()},
-                        state, 0.1)
-        assert {n: a.shape for n, a in out.items()} == \
-               {n: a.shape for n, a in tensors.items()}
+        before = dict(tensors)
+        adam_step(tensors, {n: rng.normal(size=a.shape) for n, a in tensors.items()},
+                  state, 0.1)
+        assert all(tensors[n] is a for n, a in before.items())
+        assert {n: a.shape for n, a in tensors.items()} == {"a": (3, 4), "b": (1, 7)}
 
 
 class TestSchedule:
     def test_improving_forever_never_acts(self):
         s = ScheduleState()
         for i in range(50):
-            assert schedule_update(s, 100.0 - i) == "none"
+            assert schedule_update(s, 100.0 - i, 0.1) == "none"
         assert s.lr == 0.1 and s.batch_size == 16
 
-    def test_halving_sequence_and_growth_crossing(self):
+    def test_halving_sequence_and_growth_crossing(self, monkeypatch):
         # closed form: lr after k halvings is 0.1 / 2^k; the first k with
         # 0.1 / 2^k < 1e-7 is k = 20, so plateaus 1..19 halve and the 20th grows
         ks = np.arange(0, 25)
         first_below = int(np.argmax(0.1 / 2.0 ** ks < 1e-7))
         assert first_below == 20
 
-        s = ScheduleState(patience=1)
-        assert schedule_update(s, 1.0) == "none"  # first epoch sets the baseline
+        monkeypatch.setattr(training, "PATIENCE", 1)
+        s = ScheduleState()
+        assert schedule_update(s, 1.0, 0.1) == "none"  # first epoch sets the baseline
         actions = []
         for _ in range(first_below):
-            actions.append(schedule_update(s, 1.0))  # constant loss: plateau
+            actions.append(schedule_update(s, 1.0, 0.1))  # constant loss: plateau
         assert actions[:-1] == ["halve_lr"] * (first_below - 1)
         assert actions[-1] == "grow_batch_reset_lr"
         assert s.batch_size == 32
         assert s.lr == 0.1
         assert s.grow_cycles == 1
         # lr trajectory checked against the closed form at the crossing
-        s2 = ScheduleState(patience=1)
-        schedule_update(s2, 1.0)
+        s2 = ScheduleState()
+        schedule_update(s2, 1.0, 0.1)
         for k in range(1, first_below):
-            schedule_update(s2, 1.0)
+            schedule_update(s2, 1.0, 0.1)
             assert s2.lr == pytest.approx(0.1 / 2.0 ** k, rel=0, abs=0)
         assert s2.lr >= 1e-7
 
     def test_patience_counts_epochs(self):
-        s = ScheduleState(patience=3)
-        assert schedule_update(s, 1.0) == "none"   # first call sets best
-        assert schedule_update(s, 1.0) == "none"
-        assert schedule_update(s, 1.0) == "none"
-        assert schedule_update(s, 1.0) == "halve_lr"
+        assert training.PATIENCE == 3
+        s = ScheduleState()
+        assert schedule_update(s, 1.0, 0.1) == "none"   # first call sets best
+        assert schedule_update(s, 1.0, 0.1) == "none"
+        assert schedule_update(s, 1.0, 0.1) == "none"
+        assert schedule_update(s, 1.0, 0.1) == "halve_lr"
 
-    def test_improvement_resets_counter(self):
-        s = ScheduleState(patience=2)
-        schedule_update(s, 1.0)
-        assert schedule_update(s, 1.0) == "none"
-        assert schedule_update(s, 0.5) == "none"      # improvement
-        assert schedule_update(s, 0.5) == "none"
-        assert schedule_update(s, 0.5) == "halve_lr"  # plateau again
+    def test_improvement_resets_counter(self, monkeypatch):
+        monkeypatch.setattr(training, "PATIENCE", 2)
+        s = ScheduleState()
+        schedule_update(s, 1.0, 0.1)
+        assert schedule_update(s, 1.0, 0.1) == "none"
+        assert schedule_update(s, 0.5, 0.1) == "none"      # improvement
+        assert schedule_update(s, 0.5, 0.1) == "none"
+        assert schedule_update(s, 0.5, 0.1) == "halve_lr"  # plateau again
 
-    def test_relative_tolerance(self):
-        s = ScheduleState(patience=1, tol=1e-4)
-        schedule_update(s, 1.0)
+    def test_relative_tolerance(self, monkeypatch):
+        monkeypatch.setattr(training, "PATIENCE", 1)
+        assert training.IMPROVE_TOL == 1e-4
+        s = ScheduleState()
+        schedule_update(s, 1.0, 0.1)
         # 0.99995 is within 1e-4 relative: not an improvement
-        assert schedule_update(s, 0.99995) == "halve_lr"
+        assert schedule_update(s, 0.99995, 0.1) == "halve_lr"
         assert s.best_loss == 1.0
 
-    def test_grow_preserves_doubling_ladder(self):
-        s = ScheduleState(patience=1, lr=2e-7, batch_size=64)
-        assert schedule_update(s, 1.0) == "none"
-        assert schedule_update(s, 1.0) == "halve_lr"
+    def test_grow_preserves_doubling_ladder(self, monkeypatch):
+        monkeypatch.setattr(training, "PATIENCE", 1)
+        s = ScheduleState(lr=2e-7, batch_size=64)
+        assert schedule_update(s, 1.0, 0.1) == "none"
+        assert schedule_update(s, 1.0, 0.1) == "halve_lr"
         assert s.lr == pytest.approx(1e-7)
-        assert schedule_update(s, 1.0) == "grow_batch_reset_lr"
+        assert schedule_update(s, 1.0, 0.1) == "grow_batch_reset_lr"
         assert s.batch_size == 128 and s.lr == 0.1
 
 
@@ -234,15 +242,16 @@ class TestTrainLoop:
             train(TrainingData(records, table, vocab, records), params, cfg)
 
     def test_fixed_seed_reproducible(self, small_training_setup):
+        # both runs start from one parameter object, which train leaves as it was
         data, cfg = small_training_setup
-        runs = []
-        for _ in range(2):
-            params = ModelParams.init(
-                cfg.dims, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])))
-            runs.append(train(data, params, cfg))
-        a, b = runs
+        params = ModelParams.init(
+            cfg.dims, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])))
+        before = {n: a.copy() for n, a in params.tensors.items()}
+        a, b = train(data, params, cfg), train(data, params, cfg)
         for name in a.params.tensors:
             np.testing.assert_array_equal(a.params.tensors[name], b.params.tensors[name])
+            np.testing.assert_array_equal(params.tensors[name], before[name])
+            assert params.tensors[name].dtype == before[name].dtype
         strip = lambda log: [{k: v for k, v in e.items() if k != "wall_ms"} for e in log]
         assert strip(a.log) == strip(b.log)
 
@@ -265,7 +274,7 @@ class TestTrainLoop:
         tensors = dict(params.tensors)
         tensors["image.w2"] = tensors["image.w2"] * 1e160
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="loss"):
-            train(data, params.with_tensors(tensors), cfg)
+            train(data, ModelParams(cfg.dims, tensors), cfg)
 
     def test_non_finite_image_embedding_is_named(self, small_training_setup):
         # finite but huge weights overflow the image MLP before a loss is formed
@@ -275,7 +284,7 @@ class TestTrainLoop:
         tensors["image.w1"] = tensors["image.w1"] * 1e200
         tensors["image.w2"] = tensors["image.w2"] * 1e200
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="image"):
-            train(data, params.with_tensors(tensors), cfg)
+            train(data, ModelParams(cfg.dims, tensors), cfg)
 
     def test_empty_val_records_rejected_before_a_step(self, small_training_setup,
                                                       monkeypatch):
@@ -354,6 +363,19 @@ class TestCheckpointResume:
             result.log[-1]["val_r1_sent"]
         assert reports["image_retrieval"].overall.r_at[1] == \
             result.log[-1]["val_r1_img"]
+
+    def test_every_schedule_field_survives_a_checkpoint(self, small_training_setup,
+                                                        tmp_path):
+        # a field the checkpoint leaves out would come back at its default
+        _, cfg = small_training_setup
+        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
+        schedule = ScheduleState(**{f.name: f.default + 1 if np.isfinite(f.default) else 2.5
+                                    for f in fields(ScheduleState)})
+        p = tmp_path / "ckpt.bin"
+        adam = AdamState.zeros_like(params.tensors)
+        save_training_checkpoint(p, params, adam, schedule)
+        _, _, restored = restore_training_state(load_checkpoint(p), cfg)
+        assert restored == schedule
 
     def test_dim_mismatch_rejected(self, small_training_setup, tmp_path):
         data, cfg = small_training_setup
