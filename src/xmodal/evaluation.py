@@ -133,11 +133,18 @@ def retrieval_ranks(v_txt: np.ndarray, v_img: np.ndarray,
     v_txt: (n_caps, j) caption embeddings; v_img: (n_imgs, j); cap_owner maps
     caption row -> owning image row. Returns (sentence_ranks per image,
     image_ranks per caption). Raises ValueError, before any penalty is
-    formed, when an owner is not an image index (naming the first such
-    caption row) or an image owns no caption.
+    formed, when an embedding is not finite (naming the side and its first
+    such row), when an owner is not an image index (naming the first such
+    caption row) or when an image owns no caption.
     """
     v_txt = np.asarray(v_txt, dtype=np.float64)
     v_img = np.asarray(v_img, dtype=np.float64)
+    for side, v in (("caption", v_txt), ("image", v_img)):
+        # every comparison with NaN is false, so NaN rows would rank first
+        finite = np.isfinite(v).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{side} embedding row {int(np.argmin(finite))} "
+                             f"is not finite")
     n_caps, n_imgs = len(v_txt), len(v_img)
     owner = _caption_owners(cap_owner, n_caps, n_imgs)
     rows = penalty_round_rows(v_txt)

@@ -5,9 +5,11 @@ round-trips are bit-exact:
 
   feature file   magic "IMFT", u32 version=1, u32 count, u32 dim, then per
                  record u16 id length, id bytes (utf-8), dim x f32 values.
-  checkpoint     u32 version=1, u32 tensor count, per tensor u16 name
-                 length + utf-8 name, u8 rank, u32 extents, f64 values;
-                 then u64 step, f64 lr, u32 batch_size, u8 phase.
+  checkpoint     u32 version=2, u32 tensor count, then per tensor u16 name
+                 length, name bytes (utf-8), u8 rank, u32 extents, f64
+                 values. Nothing follows the last tensor: a checkpoint is
+                 named float64 tensors only, and training decides what
+                 they hold.
 
 Feature vectors are held as float32, the storage dtype, so that a table
 written and read back compares bit-equal.
@@ -33,7 +35,7 @@ from .text import Vocabulary, encode, normalize
 
 FEATURE_MAGIC = b"IMFT"
 FEATURE_VERSION = 1
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class DataFormatError(ValueError):
@@ -101,6 +103,14 @@ class _Reader:
         self.off += n
         return self.blob[self.off - n : self.off]
 
+    def text(self, n: int, what: str) -> str:
+        off = self.off
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(
+                f"{self.path}: {what} is not valid utf-8 at offset {off}") from None
+
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
@@ -133,7 +143,7 @@ def read_feature_file(path) -> FeatureTable:
     table = FeatureTable(dim)
     for _ in range(count):
         (id_len,) = r.unpack("<H", "id length")
-        image_id = r.take(id_len, "id").decode("utf-8")
+        image_id = r.text(id_len, "id")
         vec = np.frombuffer(r.take(4 * dim, f"record {image_id!r}"), dtype="<f4")
         table.add(image_id, vec)
     if r.left():
@@ -255,22 +265,9 @@ def load_word_vectors(path, vocab: Vocabulary,
     return matrix, coverage
 
 
-@dataclass
-class Checkpoint:
-    tensors: dict[str, np.ndarray]  # name -> float64 array, insertion-ordered
-    step: int
-    lr: float
-    batch_size: int
-    phase: int  # completed batch-growth cycles
-
-
-def save_checkpoint(path, tensors: dict[str, np.ndarray], step: int, lr: float,
-                    batch_size: int, phase: int) -> None:
-    """Write via a temporary file that replaces `path`, so an error leaves it as it was."""
-    for name, value, bits in (("step", step, 64), ("batch_size", batch_size, 32),
-                              ("phase", phase, 8)):
-        if not 0 <= value < 1 << bits:
-            raise ValueError(f"checkpoint {name}={value} does not fit in u{bits}")
+def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write `tensors` as float64 via a temporary file that replaces `path`,
+    so an error leaves it as it was."""
     for name, arr in tensors.items():
         if len(name.encode("utf-8")) > 0xFFFF:
             raise ValueError(f"checkpoint tensor name too long: {name[:32]!r}...")
@@ -278,7 +275,6 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], step: int, lr: float,
         if max(np.shape(arr), default=0) >= 1 << 32:
             raise ValueError(f"checkpoint tensor {name!r} has shape {np.shape(arr)}, "
                              f"an extent over u32")
-    counters = struct.pack("<QdIB", step, lr, batch_size, phase)
     fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "wb") as f:
@@ -291,7 +287,6 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], step: int, lr: float,
                 f.write(struct.pack("<B", a.ndim))
                 f.write(struct.pack(f"<{a.ndim}I", *a.shape))
                 f.write(a.astype("<f8").tobytes())
-            f.write(counters)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -300,7 +295,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], step: int, lr: float,
         raise
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read the named float64 tensors of a checkpoint, in file order."""
     r = _Reader(path)
     version, count = r.unpack("<II", "header")
     if version != CHECKPOINT_VERSION:
@@ -308,7 +304,7 @@ def load_checkpoint(path) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H", "tensor name length")
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        name = r.text(name_len, "tensor name")
         (rank,) = r.unpack("<B", f"rank of {name!r}")
         shape = r.unpack(f"<{rank}I", f"extents of {name!r}")
         n = math.prod(shape)  # np.prod would wrap in int64
@@ -316,7 +312,6 @@ def load_checkpoint(path) -> Checkpoint:
         if name in tensors:
             raise DataFormatError(f"{path}: duplicate tensor {name!r}")
         tensors[name] = data.reshape(shape).copy()
-    step, lr, batch_size, phase = r.unpack("<QdIB", "counters")
     if r.left():
         raise DataFormatError(f"{path}: {r.left()} trailing bytes")
-    return Checkpoint(tensors, step, lr, batch_size, phase)
+    return tensors

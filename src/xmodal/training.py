@@ -12,11 +12,18 @@ only apply optimizer-moment drift. Zero loss alone is not
 enough to stop: a pair violated across batches produces no loss until a
 later shuffle puts it into one batch.
 
-Everything is a deterministic function of (data, config, seed): shuffles
-come from a dedicated child generator, batches are consumed in order, and
-gradient summation order is fixed. `train` works on its own copy of the
-parameters, which `adam_step` updates in place like the Adam moments, so
-the caller's parameters are left as they were.
+Everything is a deterministic function of (data, config, seed): epoch e
+shuffles with a generator seeded by SeedSequence([seed, 1, e]), batches
+are consumed in order, and gradient summation order is fixed. `train`
+works on its own copy of the parameters, which `adam_step` updates in
+place like the Adam moments, so the caller's parameters are left as they
+were.
+
+The run's state is the parameters, the Adam moments and step count, and
+every ScheduleState field, `epoch` (epochs completed) among them. A
+checkpoint holds all of it as named tensors, so a resumed run continues
+bit for bit as the uninterrupted one would: `max_epochs` counts epochs
+over the whole run, and the log's `epoch` keeps counting.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .evaluation import evaluate_records
-from .io import Checkpoint, DataFormatError, FeatureTable, record_rows, save_checkpoint
+from .io import DataFormatError, FeatureTable, record_rows, save_checkpoint
 from .loss import LossConfig, batch_loss
 from .model import (ModelDims, ModelParams, encode_image_batch, encode_text_batch,
                     param_shapes)
@@ -111,6 +118,7 @@ class ScheduleState:
     best_loss: float = float("inf")
     epochs_since_improve: int = 0
     grow_cycles: int = 0
+    epoch: int = 0  # epochs completed
 
 
 def schedule_update(state: ScheduleState, epoch_loss: float, lr_init: float) -> str:
@@ -218,51 +226,66 @@ def checkpoint_tensors(params: ModelParams, adam: AdamState,
     for name in params.tensors:
         tensors[f"adam.m.{name}"] = adam.m[name]
         tensors[f"adam.v.{name}"] = adam.v[name]
-    tensors["schedule.best_loss"] = np.array([schedule.best_loss])
-    tensors["schedule.epochs_since_improve"] = np.array(
-        [float(schedule.epochs_since_improve)])
+    tensors["adam.t"] = np.array([float(adam.t)])
+    for f in fields(ScheduleState):
+        tensors[f"schedule.{f.name}"] = np.array([float(getattr(schedule, f.name))])
     return tensors
 
 
 def save_training_checkpoint(path, params: ModelParams, adam: AdamState,
                              schedule: ScheduleState) -> None:
-    save_checkpoint(path, checkpoint_tensors(params, adam, schedule),
-                    step=adam.t, lr=schedule.lr, batch_size=schedule.batch_size,
-                    phase=schedule.grow_cycles)
+    save_checkpoint(path, checkpoint_tensors(params, adam, schedule))
 
 
-def restore_training_state(ck: Checkpoint, cfg: TrainConfig,
+def restore_training_state(tensors: dict[str, np.ndarray], cfg: TrainConfig,
                            ) -> tuple[ModelParams, AdamState, ScheduleState]:
-    """Rebuild (params, adam, schedule) from a checkpoint, validating every tensor.
+    """Rebuild (params, adam, schedule) from checkpoint tensors, validating
+    every one.
 
     The moments are copied, because `adam_step` updates them in place.
     """
     def read(key, shape):
-        if key not in ck.tensors:
+        if key not in tensors:
             raise DataFormatError(f"checkpoint missing tensor {key!r}")
-        if ck.tensors[key].shape != shape:
+        if tensors[key].shape != shape:
             raise DataFormatError(
-                f"checkpoint tensor {key!r} has shape {ck.tensors[key].shape}, "
+                f"checkpoint tensor {key!r} has shape {tensors[key].shape}, "
                 f"config wants {shape}"
             )
-        return ck.tensors[key]
+        return tensors[key]
+
+    def scalar(key, count: bool):
+        x = float(read(key, (1,))[0])
+        if count and not (0 <= x < 2**53 and x.is_integer()):  # NaN fails
+            raise DataFormatError(
+                f"checkpoint tensor {key!r} holds {x!r}, not an integer in [0, 2**53)")
+        return int(x) if count else x
 
     expected = param_shapes(cfg.dims)
     params = ModelParams(cfg.dims, {n: read(n, s) for n, s in expected.items()})
     m, v = ({n: np.array(read(f"adam.{k}.{n}", s), dtype=np.float64)
              for n, s in expected.items()} for k in "mv")
-    schedule = ScheduleState(
-        lr=ck.lr, batch_size=ck.batch_size,
-        best_loss=float(read("schedule.best_loss", (1,))[0]),
-        epochs_since_improve=int(read("schedule.epochs_since_improve", (1,))[0]),
-        grow_cycles=ck.phase)
-    return params, AdamState(m, v, t=ck.step), schedule
+    for k, moments, want in (("m", m, "finite"), ("v", v, "finite and >= 0")):
+        for n, a in moments.items():
+            if not (np.isfinite(a).all() and (k == "m" or (a >= 0).all())):
+                raise DataFormatError(f"checkpoint tensor 'adam.{k}.{n}' holds an "
+                                      f"entry that is not {want}")
+    schedule = ScheduleState(**{
+        f.name: scalar(f"schedule.{f.name}", isinstance(f.default, int))
+        for f in fields(ScheduleState)})
+    if not 0 <= schedule.lr < np.inf:
+        raise DataFormatError(f"checkpoint tensor 'schedule.lr' holds {schedule.lr!r}, "
+                              f"not a finite rate >= 0")
+    if np.isnan(schedule.best_loss):
+        raise DataFormatError("checkpoint tensor 'schedule.best_loss' holds nan")
+    return params, AdamState(m, v, t=scalar("adam.t", True)), schedule
 
 
-def resume_train(data: TrainingData, ck: Checkpoint, cfg: TrainConfig,
+def resume_train(data: TrainingData, tensors: dict[str, np.ndarray], cfg: TrainConfig,
                  log_path=None) -> TrainResult:
-    """Continue a run from a checkpoint (schedule and moments persist)."""
-    params, adam, schedule = restore_training_state(ck, cfg)
+    """Continue a run from checkpoint tensors, as `load_checkpoint` returns
+    them; the run goes on from the epoch after the last completed one."""
+    params, adam, schedule = restore_training_state(tensors, cfg)
     return _train_from_state(data, params, adam, schedule, cfg, log_path)
 
 
@@ -279,7 +302,6 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
     n_pairs = len(token_ids)
     if n_pairs < 2:
         raise ValueError("need at least 2 training pairs to form negatives")
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     if not data.val_records:
         raise ValueError("val_records is empty: nothing to evaluate after each epoch")
     # adam_step updates this copy in place; the caller's parameters stay as they were
@@ -289,9 +311,9 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
     sink = open(log_path, "a", encoding="utf-8") if log_path else None
     stop_reason = "max_epochs"
     try:
-        for epoch in range(1, cfg.max_epochs + 1):
+        for epoch in range(schedule.epoch + 1, cfg.max_epochs + 1):
             t0 = time.perf_counter()
-            order = shuffle_rng.permutation(n_pairs)
+            order = np.random.default_rng([cfg.seed, 1, epoch]).permutation(n_pairs)
             loss_sum = 0.0
             pairs_seen = 0
             for lo in range(0, n_pairs, schedule.batch_size):
@@ -308,6 +330,7 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
                                        params, cfg.seq_len, protocol="full_5k")
             lr_logged, batch_logged = schedule.lr, schedule.batch_size
             schedule_update(schedule, epoch_loss, cfg.lr_init)
+            schedule.epoch = epoch
             entry = {
                 "epoch": epoch,
                 "loss": epoch_loss,

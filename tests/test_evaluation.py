@@ -389,3 +389,16 @@ class TestStreamedRanks:
         v_img, v_txt = np.eye(3) * 2.0, np.eye(3) * 2.0 + 0.5
         s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, np.array([0.0, 1.0, 2.0]))
         assert np.all(s_ranks == 1) and np.all(i_ranks == 1)
+
+    @pytest.mark.parametrize("side", ["caption", "image"])
+    def test_non_finite_embedding_rejected_before_any_penalty(self, monkeypatch, side):
+        # every comparison with NaN is false, so a NaN model would rank first
+        def untouched(*args):
+            raise AssertionError("penalty formed before the embeddings were checked")
+        monkeypatch.setattr(ev, "paired_order_penalty", untouched)
+        monkeypatch.setattr(ev, "pairwise_order_penalty", untouched)
+        v_img, v_txt = np.eye(3) * 2.0, np.eye(3) * 2.0 + 0.5
+        bad = v_txt if side == "caption" else v_img
+        bad[1, 2], bad[2] = np.nan, np.inf
+        with pytest.raises(ValueError, match=f"^{side} embedding row 1 is not finite$"):
+            evaluate_embeddings(v_img, v_txt, np.arange(3), "full_5k")

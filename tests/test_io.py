@@ -8,7 +8,6 @@ import pytest
 
 from xmodal import io as xio
 from xmodal.io import (
-    Checkpoint,
     DataFormatError,
     DatasetRecord,
     FeatureTable,
@@ -74,6 +73,14 @@ class TestFeatureFile:
         cut.write_bytes(whole[: len(whole) - 9])
         with pytest.raises(DataFormatError, match="truncated.*offset"):
             read_feature_file(cut)
+
+    def test_invalid_utf8_id_names_file_and_offset(self, tmp_path):
+        p = tmp_path / "feats.bin"
+        p.write_bytes(b"IMFT" + struct.pack("<IIIH", 1, 1, 1, 2) + b"\xff\xfe"
+                      + bytes(4))
+        with pytest.raises(DataFormatError) as err:
+            read_feature_file(p)
+        assert str(err.value) == f"{p}: id is not valid utf-8 at offset 18"
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"
@@ -209,24 +216,12 @@ class TestCheckpoint:
             "schedule.best_loss": np.array([0.125]),
         }
         p = tmp_path / "ckpt.bin"
-        save_checkpoint(p, tensors, step=17, lr=0.025, batch_size=32, phase=1)
-        ck = load_checkpoint(p)
-        assert list(ck.tensors) == list(tensors)
+        save_checkpoint(p, tensors)
+        loaded = load_checkpoint(p)
+        assert list(loaded) == list(tensors)
         for name in tensors:
-            np.testing.assert_array_equal(ck.tensors[name], tensors[name])
-        assert (ck.step, ck.lr, ck.batch_size, ck.phase) == (17, 0.025, 32, 1)
-
-    @pytest.mark.parametrize("field, value",
-                             [("phase", 256), ("batch_size", 1 << 32), ("step", -1)])
-    def test_bad_counter_leaves_existing_checkpoint_loadable(self, tmp_path, field, value):
-        p = tmp_path / "ckpt.bin"
-        counters = {"step": 3, "lr": 0.05, "batch_size": 16, "phase": 2}
-        save_checkpoint(p, {"w": np.ones((2, 2))}, **counters)
-        good = p.read_bytes()
-        with pytest.raises(ValueError, match=field):
-            save_checkpoint(p, {"w": np.zeros((2, 2))}, **{**counters, field: value})
-        assert p.read_bytes() == good
-        assert load_checkpoint(p).phase == 2
+            np.testing.assert_array_equal(loaded[name], tensors[name])
+            assert loaded[name].dtype == np.float64
 
     @pytest.mark.parametrize("bad, match", [
         ({"x" * 70000: np.zeros(1)}, "tensor name too long: 'xxx"),  # a name over u16
@@ -235,8 +230,7 @@ class TestCheckpoint:
     def test_failed_save_leaves_old_file_and_no_temporary(self, tmp_path, monkeypatch,
                                                           bad, match):
         p = tmp_path / "ckpt.bin"
-        counters = {"step": 3, "lr": 0.05, "batch_size": 16, "phase": 2}
-        save_checkpoint(p, {"w": np.ones((2, 2))}, **counters)
+        save_checkpoint(p, {"w": np.ones((2, 2))})
         good = p.read_bytes()
 
         def no_temporary(*args, **kwargs):
@@ -245,26 +239,35 @@ class TestCheckpoint:
         # rejected before anything is written
         monkeypatch.setattr(xio.tempfile, "mkstemp", no_temporary)
         with pytest.raises(ValueError, match=match):
-            save_checkpoint(p, {"w": np.zeros((2, 2)), **bad}, **counters)
+            save_checkpoint(p, {"w": np.zeros((2, 2)), **bad})
         assert p.read_bytes() == good
         assert [q.name for q in tmp_path.iterdir()] == ["ckpt.bin"]
 
     def test_version_mismatch_rejected(self, tmp_path):
         p = tmp_path / "ckpt.bin"
-        save_checkpoint(p, {}, step=0, lr=0.1, batch_size=16, phase=0)
+        save_checkpoint(p, {})
         raw = bytearray(p.read_bytes())
         raw[0] = 99
         p.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(p)
 
+    def test_version_1_file_rejected_by_name(self, tmp_path):
+        # the v1 layout: one (1,) tensor, then the u64/f64/u32/u8 counter trailer
+        p = tmp_path / "ckpt.bin"
+        p.write_bytes(struct.pack("<IIH1sBI", 1, 1, 1, b"w", 1, 1) + bytes(8)
+                      + struct.pack("<QdIB", 0, 0.1, 16, 0))
+        with pytest.raises(DataFormatError) as err:
+            load_checkpoint(p)
+        assert str(err.value) == f"{p}: unsupported checkpoint version 1"
+
     @pytest.mark.parametrize("shape", [(65536,) * 4, (2**21,) * 3],
                              ids=["product-wraps-to-0", "product-wraps-negative"])
     def test_huge_extents_rejected_as_truncated(self, tmp_path, shape):
         # the element count overflows int64; it must not wrap to a small number
         p = tmp_path / "ckpt.bin"
-        header = struct.pack(f"<IIH1sB{len(shape)}I", 1, 1, 1, b"w", len(shape), *shape)
-        p.write_bytes(header + bytes(64) + struct.pack("<QdIB", 0, 0.1, 16, 0))
+        header = struct.pack(f"<IIH1sB{len(shape)}I", 2, 1, 1, b"w", len(shape), *shape)
+        p.write_bytes(header + bytes(64))
         with pytest.raises(DataFormatError) as err:
             load_checkpoint(p)
         assert type(err.value) is DataFormatError
@@ -272,7 +275,15 @@ class TestCheckpoint:
 
     def test_truncation_rejected(self, tmp_path):
         p = tmp_path / "ckpt.bin"
-        save_checkpoint(p, {"w": np.ones((2, 2))}, step=1, lr=0.1, batch_size=16, phase=0)
+        save_checkpoint(p, {"w": np.ones((2, 2))})
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(DataFormatError, match="truncated"):
             load_checkpoint(p)
+
+    def test_invalid_utf8_name_names_file_and_offset(self, tmp_path):
+        p = tmp_path / "ckpt.bin"
+        p.write_bytes(struct.pack("<IIH", 2, 1, 1) + b"\xff" + struct.pack("<BI", 1, 1)
+                      + bytes(8))
+        with pytest.raises(DataFormatError) as err:
+            load_checkpoint(p)
+        assert str(err.value) == f"{p}: tensor name is not valid utf-8 at offset 10"

@@ -8,7 +8,7 @@ import pytest
 from xmodal import autodiff as ad
 from xmodal import evaluation as ev
 from xmodal import training
-from xmodal.io import DataFormatError, FeatureTable, load_checkpoint
+from xmodal.io import DataFormatError, FeatureTable, load_checkpoint, save_checkpoint
 from xmodal.loss import VARIANCE_SCOPES, LossConfig, batch_loss
 from xmodal.model import ModelDims, ModelParams, encode_image_batch, encode_text_batch
 from xmodal.io import DatasetRecord
@@ -29,7 +29,6 @@ from xmodal.training import (
     schedule_update,
     train,
 )
-from xmodal.io import Checkpoint
 
 
 class TestAdam:
@@ -396,28 +395,28 @@ class TestCheckpointResume:
         quick = replace(cfg, max_epochs=2, stop_when_perfect=False)
         params = ModelParams.init(cfg.dims, np.random.default_rng(11))
         result = train(data, params, quick)
-        ck = Checkpoint(
-            training.checkpoint_tensors(result.params, result.adam, result.schedule),
-            step=result.adam.t, lr=result.schedule.lr,
-            batch_size=result.schedule.batch_size, phase=result.schedule.grow_cycles)
-        before = {n: a.copy() for n, a in ck.tensors.items()}
-        a, b = resume_train(data, ck, quick), resume_train(data, ck, quick)
+        ck = training.checkpoint_tensors(result.params, result.adam, result.schedule)
+        before = {n: a.copy() for n, a in ck.items()}
+        # max_epochs counts the whole run, so each resume runs epochs 3 and 4
+        more = replace(quick, max_epochs=4)
+        a, b = resume_train(data, ck, more), resume_train(data, ck, more)
+        assert [e["epoch"] for e in a.log] == [3, 4]
         for name in a.params.tensors:
             np.testing.assert_array_equal(a.params.tensors[name], b.params.tensors[name])
         for name in before:
-            np.testing.assert_array_equal(ck.tensors[name], before[name])
+            np.testing.assert_array_equal(ck[name], before[name])
 
     @staticmethod
     def _checkpoint(small_training_setup):
         data, cfg = small_training_setup
         params = ModelParams.init(cfg.dims, np.random.default_rng(11))
         adam = AdamState.zeros_like(params.tensors)
-        tensors = training.checkpoint_tensors(params, adam, ScheduleState())
-        return cfg, Checkpoint(tensors, step=0, lr=0.1, batch_size=4, phase=0)
+        return cfg, training.checkpoint_tensors(params, adam,
+                                                ScheduleState(lr=0.1, batch_size=4))
 
     def test_missing_schedule_tensor_rejected(self, small_training_setup):
         cfg, ck = self._checkpoint(small_training_setup)
-        del ck.tensors["schedule.best_loss"]
+        del ck["schedule.best_loss"]
         with pytest.raises(DataFormatError, match="missing tensor 'schedule.best_loss'"):
             restore_training_state(ck, cfg)
 
@@ -426,7 +425,7 @@ class TestCheckpointResume:
         # a (1, j) moment for the (f, j) image.w1 would broadcast in adam_step
         cfg, ck = self._checkpoint(small_training_setup)
         key = f"adam.{moment}.image.w1"
-        ck.tensors[key] = ck.tensors[key][:1]
+        ck[key] = ck[key][:1]
         with pytest.raises(DataFormatError, match=f"'{key}' has shape"):
             restore_training_state(ck, cfg)
 
@@ -435,9 +434,9 @@ class TestCheckpointResume:
         cfg, ck = self._checkpoint(small_training_setup)
         for kind in "wub":
             for prefix in ("", "adam.m.", "adam.v."):
-                fused = ck.tensors.pop(f"{prefix}lstm.{kind}")
+                fused = ck.pop(f"{prefix}lstm.{kind}")
                 for gate, block in zip("ifgo", np.split(fused, 4, axis=1)):
-                    ck.tensors[f"{prefix}lstm.{kind}_{gate}"] = block
+                    ck[f"{prefix}lstm.{kind}_{gate}"] = block
         with pytest.raises(DataFormatError, match="missing tensor 'lstm.w'"):
             restore_training_state(ck, cfg)
 
@@ -449,7 +448,7 @@ class TestCheckpointResume:
         p = tmp_path / "ckpt.bin"
         save_training_checkpoint(p, result.params, result.adam, result.schedule)
         ck = load_checkpoint(p)
-        more = resume_train(data, ck, replace(cfg, max_epochs=2, stop_when_perfect=False))
+        more = resume_train(data, ck, replace(cfg, max_epochs=4, stop_when_perfect=False))
         assert len(more.log) == 2
         assert more.adam.t > result.adam.t
 
@@ -462,6 +461,99 @@ class TestCheckpointResume:
         save_training_checkpoint(p, params, adam, ScheduleState(batch_size=1))
         with pytest.raises(ValueError, match="batch_size must be >= 2, got 1"):
             resume_train(data, load_checkpoint(p), cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("schedule.grow_cycles", -1.0), ("schedule.epoch", 2.5), ("adam.t", np.nan),
+        ("schedule.batch_size", 2.0**53), ("schedule.lr", np.nan), ("schedule.lr", -0.1),
+        ("schedule.best_loss", np.nan),
+    ], ids=["negative-count", "fractional-count", "nan-count", "count-at-2**53",
+            "nan-lr", "negative-lr", "nan-best-loss"])
+    def test_bad_scalar_rejected_by_name(self, small_training_setup, key, value):
+        # the counts are read back from float64 tensors, so restore checks them
+        cfg, ck = self._checkpoint(small_training_setup)
+        ck[key] = np.array([value])
+        with pytest.raises(DataFormatError, match=f"'{key}' holds"):
+            restore_training_state(ck, cfg)
+
+    @pytest.mark.parametrize("moment, value", [("m", np.nan), ("v", -1.0), ("v", np.inf)],
+                             ids=["nan-m", "negative-v", "infinite-v"])
+    def test_corrupt_adam_moment_rejected(self, small_training_setup, tmp_path,
+                                          moment, value):
+        data, cfg = small_training_setup
+        one_batch = replace(cfg, max_epochs=1, batch_size=len(data.records),
+                            stop_when_perfect=False)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
+        result = train(data, params, one_batch)
+        ck = training.checkpoint_tensors(result.params, result.adam, result.schedule)
+        key = f"adam.{moment}.image.w2"
+        ck[key] = ck[key].copy()
+        ck[key][0, 0] = value
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(p, ck)
+        with pytest.raises(DataFormatError, match=f"'{key}' holds"):
+            resume_train(data, load_checkpoint(p), replace(one_batch, max_epochs=2))
+
+    @staticmethod
+    def _assert_same_run(a, b, b_log):
+        for name in a.params.tensors:
+            for x, y in ((a.params.tensors, b.params.tensors), (a.adam.m, b.adam.m),
+                         (a.adam.v, b.adam.v)):
+                assert x[name].dtype == y[name].dtype
+                assert np.array_equal(x[name], y[name]), name
+        assert a.adam.t == b.adam.t
+        assert a.schedule == b.schedule
+        strip = lambda log: [{k: v for k, v in e.items() if k != "wall_ms"} for e in log]
+        assert strip(a.log) == strip(b_log)
+        assert a.stop_reason == b.stop_reason
+
+    def _split_run(self, data, cfg, first, tmp_path):
+        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
+        straight = train(data, params, cfg)
+        head = train(data, params, replace(cfg, max_epochs=first))
+        p = tmp_path / "ckpt.bin"
+        save_training_checkpoint(p, head.params, head.adam, head.schedule)
+        tail = resume_train(data, load_checkpoint(p), cfg)
+        self._assert_same_run(straight, tail, head.log + tail.log)
+        return straight
+
+    @pytest.mark.parametrize("mode, batch_size", [
+        ("sum", 4), ("max", 4), ("sum", 2), ("max", 2)])
+    def test_resume_is_the_uninterrupted_run(self, small_training_setup, tmp_path,
+                                             mode, batch_size):
+        data, cfg = small_training_setup
+        cfg = replace(cfg, max_epochs=4, stop_when_perfect=False, batch_size=batch_size,
+                      loss=replace(cfg.loss, negative_mode=mode, lambda_var=0.05))
+        straight = self._split_run(data, cfg, 2, tmp_path)
+        assert [e["epoch"] for e in straight.log] == [1, 2, 3, 4]
+
+    def test_resume_across_a_batch_doubling(self, small_training_setup, tmp_path,
+                                            monkeypatch):
+        # at this rate halving would cross LR_FLOOR, so every plateau grows the batch
+        monkeypatch.setattr(training, "PATIENCE", 1)
+        data, cfg = small_training_setup
+        cfg = replace(cfg, max_epochs=6, stop_when_perfect=False, batch_size=2,
+                      lr_init=1.5e-7, max_grow_cycles=9)
+        straight = self._split_run(data, cfg, 3, tmp_path)
+        assert [e["batch_size"] for e in straight.log] == [2, 2, 4, 8, 16, 32]
+
+    def test_resuming_a_finished_run_runs_no_epoch(self, small_training_setup, tmp_path,
+                                                   monkeypatch):
+        data, cfg = small_training_setup
+        cfg = replace(cfg, max_epochs=2, stop_when_perfect=False)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
+        result = train(data, params, cfg)
+        p = tmp_path / "ckpt.bin"
+        save_training_checkpoint(p, result.params, result.adam, result.schedule)
+
+        def no_step(*args):
+            raise AssertionError("a step ran after max_epochs")
+
+        monkeypatch.setattr(training, "_batch_step", no_step)
+        again = resume_train(data, load_checkpoint(p), cfg)
+        assert again.log == [] and again.stop_reason == "max_epochs"
+        assert again.adam.t == result.adam.t and again.schedule == result.schedule
+        for name in result.params.tensors:
+            assert np.array_equal(again.params.tensors[name], result.params.tensors[name])
 
 
 class TestPreparePairs:
@@ -533,8 +625,7 @@ class TestSharedRecordPath:
         train(replace(data, records=recs), params, cfg)
 
         token_ids, feats = prepare_pairs(recs, data.features, data.vocab, cfg.seq_len)
-        order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).permutation(
-            len(token_ids))
+        order = np.random.default_rng([cfg.seed, 1, 1]).permutation(len(token_ids))
         batches = [order[lo:lo + cfg.batch_size]
                    for lo in range(0, len(order), cfg.batch_size)]
         assert len(token_ids) == 24 and len(seen) == len(batches) == 5
