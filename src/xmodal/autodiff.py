@@ -19,14 +19,25 @@ gathers its rows of it into a (B, 4h) gate buffer through the inverse index,
 adds h @ U and b there, and activates each gate's column block in place.
 The scan returns the last h. It runs in blocks of at most LSTM_BLOCK
 captions, so its per-step buffers stay in cache. A tape-free forward keeps
-only the current (h, c) and one gate buffer per block. Recorded on a tape,
-each block writes its rows of every step's gates into an (L, B, 4h) array
-and of the cells and hiddens into (L+1, B, h) arrays, kept in meta["saved"];
-the VJP pops them off the node, so they are freed as it returns, runs
-backpropagation through time on them and forms each gradient as one GEMM,
-sum or np.add.at over all steps. BPTT writes each step's gate gradients dz
-over that step's saved gates, so backward allocates no second (L, B, 4h)
-array.
+only the current (h, c) and one gate buffer per block. A tape-free scan of
+more than LSTM_BLOCK captions (evaluation's encode of a corpus) runs its
+blocks on the thread pool, each of LSTM_BLOCK // POOL_WORKERS rows but never
+fewer than 3, so the rows in flight stay at LSTM_BLOCK and no block has the
+one row that numpy would run as gemv, with different rounding. For that
+call numpy's OpenBLAS is held to one thread and its old count restored
+afterwards, also when a block raises: left at several threads, OpenBLAS's
+workers busy-wait between GEMMs on the cores that the blocks' gate work
+needs. The thread count is process-wide, so no other thread may call BLAS
+while a pooled scan runs. Recorded scans, scans of at most LSTM_BLOCK
+captions, scans called from a pool worker, and every scan when no OpenBLAS
+thread control is found or POOL_WORKERS is 1, run their blocks in order on
+the calling thread. Recorded on a tape, each block writes its rows of
+every step's gates into an (L, B, 4h) array and of the cells and hiddens
+into (L+1, B, h) arrays, kept in meta["saved"]; the VJP pops them off the
+node, so they are freed as it returns, runs backpropagation through time
+on them and forms each gradient as one GEMM, sum or np.add.at over all
+steps. BPTT writes each step's gate gradients dz over that step's saved
+gates, so backward allocates no second (L, B, 4h) array.
 
 order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
 and (M, j) rows as one node, built without an (N, M, j) intermediate;
@@ -35,8 +46,10 @@ the rows of X into blocks whose (rows, j) slab fits in L2
 (PENALTY_BLOCK_BYTES); each block loops over the rows of Y and writes its
 own rows of the result. Several blocks run on a thread pool sized to the
 CPUs the process may use, since numpy releases the GIL inside ufuncs; a
-training batch is one block and runs on the calling thread. Every entry is
-computed the same way whatever the blocking, so the bits do not depend on it;
+training batch is one block and runs on the calling thread, as does any call
+from one of the pool's own workers, which could otherwise wait on the pool
+it occupies. Every entry is computed the same way whatever the blocking, so
+the bits do not depend on it;
 paired_order_penalty computes the penalty of row i of X against row i of Y
 the same way, so it equals the matrix's (i, i) entry bit for bit.
 The backward loops over the rows of Y against the whole of X. All three
@@ -48,9 +61,14 @@ Y[k, d] == X[i, d]) use 0 at the kink.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -61,8 +79,61 @@ PENALTY_BLOCK_BYTES = 1 << 20  # size of the slab of X rows one order_penalty bl
 POOL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)  # CPUs the process may use
 
-# Runs the order_penalty forward's blocks; threads start on first use.
-_POOL = ThreadPoolExecutor(POOL_WORKERS)
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    if not found. Looked up on first use, so importing opens no library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("lib*openblas*.so*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_WORKER = threading.local()  # .in_pool is set on the pool's own threads
+
+
+def _mark_pool_thread():
+    _WORKER.in_pool = True
+
+
+# Runs the order_penalty forward's and the tape-free lstm scan's blocks;
+# threads start on first use.
+_POOL = ThreadPoolExecutor(POOL_WORKERS, initializer=_mark_pool_thread)
+
+
+def _in_pool_thread() -> bool:
+    return getattr(_WORKER, "in_pool", False)
+
+
+def _run_on_pool(fn, jobs) -> None:
+    """fn(*args) for each args of `jobs` on _POOL. Every call has ended
+    before the first one's error is raised."""
+    futures = [_POOL.submit(fn, *args) for args in jobs]
+    wait(futures)
+    for f in futures:
+        f.result()
+
+
+@contextmanager
+def _one_blas_thread(control):
+    """Hold OpenBLAS, through its (get, set) `control`, to one thread."""
+    get, put = control
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 class ShapeError(ValueError):
@@ -224,11 +295,10 @@ def _order_penalty_rows(x, y, out):
 def _fw_order_penalty(x, y, meta):
     out = np.empty((x.shape[0], y.shape[0]))
     blocks = _blocks(x.shape[0], _penalty_block_rows(x))
-    if len(blocks) == 1:
+    if len(blocks) == 1 or _in_pool_thread():
         _order_penalty_rows(x, y, out)
     else:
-        for job in [_POOL.submit(_order_penalty_rows, x[r], y, out[r]) for r in blocks]:
-            job.result()
+        _run_on_pool(_order_penalty_rows, [(x[r], y, out[r]) for r in blocks])
     return out
 
 
@@ -310,13 +380,23 @@ def _fw_lstm(emb, w, u, b, meta):
                      cells=np.zeros((steps + 1, n, hid)),
                      hiddens=np.zeros((steps + 1, n, hid)))
     out = np.zeros((n, hid))  # the state after zero steps
-    for rows in _blocks(n, LSTM_BLOCK):
+
+    def block(rows):
         gates = None if saved is None else saved["gates"][:, rows]
         h = out[rows]
         for t, (c, h) in enumerate(_lstm_steps(xw, u, b, inv[rows], gates)):
             if saved is not None:
                 saved["cells"][t + 1, rows], saved["hiddens"][t + 1, rows] = c, h
         out[rows] = h
+
+    if (saved is None and n > LSTM_BLOCK and POOL_WORKERS > 1
+            and not _in_pool_thread() and _openblas_threads() is not None):
+        with _one_blas_thread(_openblas_threads()):
+            rows = max(3, LSTM_BLOCK // POOL_WORKERS)  # 3 or more: no gemv
+            _run_on_pool(block, [(r,) for r in _blocks(n, rows)])
+    else:
+        for rows in _blocks(n, LSTM_BLOCK):
+            block(rows)
     return out
 
 

@@ -174,6 +174,9 @@ def encode_corpus(records, features, vocab: Vocabulary, params: ModelParams,
     """Embed every image and caption of `records`.
 
     Returns (v_img (n_imgs, j), v_txt (n_caps, j), cap_owner).
+    This is the caller whose tape-free lstm scan can exceed
+    autodiff.LSTM_BLOCK captions, so its blocks run on the thread pool with
+    OpenBLAS held to one thread; no other thread may call BLAS meanwhile.
     """
     token_ids, cap_owner, feats = record_rows(records, features, vocab, seq_len)
     p = params.as_tracked(None)

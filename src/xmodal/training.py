@@ -23,7 +23,10 @@ The run's state is the parameters, the Adam moments and step count, and
 every ScheduleState field, `epoch` (epochs completed) among them. A
 checkpoint holds all of it as named tensors, so a resumed run continues
 bit for bit as the uninterrupted one would: `max_epochs` counts epochs
-over the whole run, and the log's `epoch` keeps counting.
+over the whole run, and the log's `epoch` keeps counting. A resumed run
+that had already stopped on `max_epochs` or `max_grow_cycles` runs no
+epoch. A `perfect_fit` stop cannot be told from the saved state, so a run
+resumed after one takes another epoch.
 """
 
 from __future__ import annotations
@@ -308,10 +311,14 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
     params = ModelParams(params.dims, {n: a.copy() for n, a in params.tensors.items()})
 
     log: list[dict] = []
-    sink = open(log_path, "a", encoding="utf-8") if log_path else None
+    epochs = range(schedule.epoch + 1, cfg.max_epochs + 1)
     stop_reason = "max_epochs"
+    if schedule.epoch > 0 and schedule.grow_cycles >= cfg.max_grow_cycles:
+        # the run had stopped there; a fresh run always takes its first epoch
+        epochs, stop_reason = range(0), "max_grow_cycles"
+    sink = open(log_path, "a", encoding="utf-8") if log_path else None
     try:
-        for epoch in range(schedule.epoch + 1, cfg.max_epochs + 1):
+        for epoch in epochs:
             t0 = time.perf_counter()
             order = np.random.default_rng([cfg.seed, 1, epoch]).permutation(n_pairs)
             loss_sum = 0.0

@@ -7,6 +7,7 @@ does not pollute the comparison.
 """
 
 import gc
+import time
 import tracemalloc
 import weakref
 
@@ -307,9 +308,24 @@ class TestLstmKeepsItsForward:
         assert [set(m) for m in metas] == [{"ids"}]
 
 
+class FakeBlasThreads:
+    """A stand-in for the OpenBLAS thread control that remembers every count set."""
+
+    def __init__(self, count):
+        self.counts = [count]
+
+    def get(self):
+        return self.counts[-1]
+
+    def put(self, count):
+        self.counts.append(count)
+
+
 class TestBlockedKernels:
     """The blocked order_penalty and lstm forwards give the same bits as one
-    block: every entry is computed the same way whatever the blocking."""
+    block: every entry is computed the same way whatever the blocking. A
+    tape-free scan of more than LSTM_BLOCK captions runs its blocks on the
+    pool with OpenBLAS held to one thread."""
 
     @pytest.mark.parametrize("n, size", [(0, 4), (1, 4), (4, 4), (5, 4), (11, 4), (9, 2),
                                          (2, 512), (513, 512), (1025, 512), (11, 3)])
@@ -347,6 +363,10 @@ class TestBlockedKernels:
         assert np.array_equal(got, want)
         blocks = [r.stop - r.start for r in ad._blocks(n, rows)]
         assert submitted == (blocks if len(blocks) > 1 else [])
+        # from one of the pool's own workers, the blocks run on that worker
+        submitted.clear()
+        run = lambda: ad.order_penalty(Tensor.const(x), Tensor.const(y)).data
+        assert np.array_equal(pool.submit(run).result(), want) and submitted == []
 
     @pytest.mark.parametrize("block", [3, 4, 100])  # a 1-row block runs h @ u as gemv
     def test_blocked_tape_free_lstm_matches_taped(self, monkeypatch, block):
@@ -392,6 +412,119 @@ class TestBlockedKernels:
         assert scans == [r.stop - r.start for r in ad._blocks(11, block)]
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @staticmethod
+    def _ragged_scan(n=11):
+        rng = np.random.default_rng(24)
+        params = _lstm_params(rng, vocab=9, e=5, h=3)
+        ids = rng.integers(1, 9, size=(n, 6))
+        for row, length in enumerate(rng.integers(1, 7, size=n)):
+            ids[row, length:] = 0  # trailing padding after 1 to 6 tokens
+        tape = Tape()
+        one_taped_block = ad.lstm(*(tape.leaf(a) for a in params), ids).data
+        return params, ids, one_taped_block
+
+    @staticmethod
+    def _spy(monkeypatch, block, workers):
+        """Set LSTM_BLOCK and POOL_WORKERS, install a fake BLAS control and a
+        pool that records each submitted block's rows and the BLAS thread
+        count then; returns (submitted, control). The control starts at 4."""
+        control = FakeBlasThreads(4)
+        submitted = []
+        pool = ad._POOL
+
+        class CountingPool:
+            def submit(self, fn, *args):
+                submitted.append((args[0].stop - args[0].start, control.get()))
+                return pool.submit(fn, *args)
+
+        monkeypatch.setattr(ad, "LSTM_BLOCK", block)
+        monkeypatch.setattr(ad, "POOL_WORKERS", workers)
+        monkeypatch.setattr(ad, "_openblas_threads", lambda: (control.get, control.put))
+        monkeypatch.setattr(ad, "_POOL", CountingPool())
+        return submitted, control
+
+    @pytest.mark.parametrize("block, workers", [
+        (4, 2),    # 3-row blocks: 2, 3, 3 and 3 rows
+        (8, 2),    # 4-row blocks: 3, 4 and 4 rows
+        (10, 3),   # 3-row blocks again, from 10 // 3
+    ])
+    def test_blocks_on_the_pool_match_one_taped_block(self, monkeypatch, block, workers):
+        params, ids, want = self._ragged_scan()
+        submitted, control = self._spy(monkeypatch, block, workers)
+        got = ad.lstm(*(Tensor.const(a) for a in params), ids).data
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        rows = [r.stop - r.start for r in ad._blocks(11, max(3, block // workers))]
+        assert submitted == [(n, 1) for n in rows]  # each block sees one BLAS thread
+        assert control.counts == [4, 1, 4]
+
+    @pytest.mark.parametrize("case", ["recorded", "one block", "no blas control",
+                                      "one worker", "from a pool worker"])
+    def test_scans_that_stay_on_the_calling_thread(self, monkeypatch, case):
+        params, ids, want = self._ragged_scan()
+        pool = ad._POOL
+        submitted, control = self._spy(monkeypatch, 11 if case == "one block" else 4,
+                                       1 if case == "one worker" else 2)
+        if case == "no blas control":
+            monkeypatch.setattr(ad, "_openblas_threads", lambda: None)
+        if case == "recorded":
+            tape = Tape()
+            got = ad.lstm(*(tape.leaf(a) for a in params), ids).data
+        else:
+            scan = lambda: ad.lstm(*(Tensor.const(a) for a in params), ids).data
+            got = pool.submit(scan).result() if case == "from a pool worker" else scan()
+        assert np.array_equal(got, want)
+        assert submitted == [] and control.counts == [4]
+
+    @pytest.mark.parametrize("block, workers, n", [(4, 64, 11), (8, 1000, 11),
+                                                   (512, 1000, 515)])
+    def test_no_one_row_block_with_many_workers(self, monkeypatch, block, workers, n):
+        params, ids, want = self._ragged_scan(n)
+        submitted, _ = self._spy(monkeypatch, block, workers)
+        got = ad.lstm(*(Tensor.const(a) for a in params), ids).data
+        assert np.array_equal(got, want)
+        assert len(submitted) > 1 and min(rows for rows, _ in submitted) >= 2
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["scan", "block raises"])
+    def test_openblas_thread_count_is_restored(self, monkeypatch, fail):
+        if ad._openblas_threads() is None:
+            pytest.skip("no OpenBLAS thread control in this numpy")
+        get, put = ad._openblas_threads()
+        params, ids, want = self._ragged_scan()
+        monkeypatch.setattr(ad, "LSTM_BLOCK", 4)
+        monkeypatch.setattr(ad, "POOL_WORKERS", 2)
+        seen, steps = [], ad._lstm_steps
+
+        def counted(xw, u, b, inv, gates=None):
+            if fail and inv.shape[0] == 2:  # the first block, of 2 rows, fails at once
+                raise RuntimeError("block failed")
+            time.sleep(0.02)  # while the other blocks still run
+            seen.append(get())
+            return steps(xw, u, b, inv, gates)
+
+        monkeypatch.setattr(ad, "_lstm_steps", counted)
+        before = get()
+        put(2)  # a count other than the one the scan sets
+        try:
+            if fail:
+                with pytest.raises(RuntimeError, match="block failed"):
+                    ad.lstm(*(Tensor.const(a) for a in params), ids)
+            else:
+                got = ad.lstm(*(Tensor.const(a) for a in params), ids).data
+                assert np.array_equal(got, want)
+            assert get() == 2
+        finally:
+            put(before)
+        # blocks of 2, 3, 3 and 3 rows, each run with OpenBLAS held to one thread
+        assert seen == [1] * (3 if fail else 4)
+
+
+def test_openblas_thread_control_is_found():
+    # a numpy wheel that renames the OpenBLAS symbols fails here, instead of
+    # silently running every scan on one thread
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" in f"{blas.get('name')} {blas.get('openblas configuration')}".lower():
+        assert ad._openblas_threads() is not None
 
 
 def _lstm_params(rng, vocab, e, h):

@@ -556,6 +556,44 @@ class TestCheckpointResume:
             assert np.array_equal(again.params.tensors[name], result.params.tensors[name])
 
 
+    @staticmethod
+    def _growing(cfg, monkeypatch, max_grow_cycles):
+        # at this rate halving would cross LR_FLOOR, so every plateau grows the batch
+        monkeypatch.setattr(training, "PATIENCE", 1)
+        return replace(cfg, stop_when_perfect=False, batch_size=2, lr_init=1.5e-7,
+                       max_grow_cycles=max_grow_cycles)
+
+    def test_resuming_after_max_grow_cycles_runs_no_epoch(self, small_training_setup,
+                                                          tmp_path, monkeypatch):
+        data, cfg = small_training_setup
+        cfg = self._growing(cfg, monkeypatch, 2)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
+        result = train(data, params, cfg)
+        assert result.stop_reason == "max_grow_cycles"
+        assert [e["epoch"] for e in result.log] == [1, 2, 3]
+        assert result.schedule.grow_cycles == 2 and result.adam.t == 15
+        p = tmp_path / "ckpt.bin"
+        save_training_checkpoint(p, result.params, result.adam, result.schedule)
+
+        def no_step(*args):
+            raise AssertionError("a step ran after max_grow_cycles")
+
+        monkeypatch.setattr(training, "_batch_step", no_step)
+        again = resume_train(data, load_checkpoint(p), cfg)
+        assert again.log == [] and again.stop_reason == "max_grow_cycles"
+        assert again.adam.t == result.adam.t and again.schedule == result.schedule
+        for name in result.params.tensors:
+            assert np.array_equal(again.params.tensors[name], result.params.tensors[name])
+
+    def test_fresh_run_with_no_grow_cycles_runs_its_first_epoch(self, small_training_setup,
+                                                               monkeypatch):
+        data, cfg = small_training_setup
+        cfg = self._growing(cfg, monkeypatch, 0)
+        result = train(data, ModelParams.init(cfg.dims, np.random.default_rng(11)), cfg)
+        assert [e["epoch"] for e in result.log] == [1]
+        assert result.stop_reason == "max_grow_cycles" and result.adam.t > 0
+
+
 class TestPreparePairs:
     def test_one_pair_per_caption(self, small_training_setup):
         data, cfg = small_training_setup
