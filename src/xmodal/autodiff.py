@@ -8,8 +8,7 @@ handing them in.
 
 Primitive op kinds (a mean is a matmul with a constant column of 1/n):
 
-    matmul, add, elementwise_mul, relu_zero_floor, abs, square, sum,
-    order_penalty, lstm
+    matmul, add, relu_zero_floor, abs, sum, order_penalty, lstm, hinge
 
 lstm(E, W, U, b, ids) is a whole single-layer LSTM as one node: E is the
 embedding, meta["ids"] the (B, L) token rows, and W (e, 4h), U (h, 4h) and
@@ -55,8 +54,21 @@ the same way, so it equals the matrix's (i, i) entry bit for bit.
 The backward loops over the rows of Y against the whole of X. All three
 form max(0, Y[k] - X) with _violations, in one slab reused for every k.
 
-Subgradient conventions: relu_zero_floor, abs and order_penalty (where
-Y[k, d] == X[i, d]) use 0 at the kink.
+hinge(P, alpha) is the in-batch triplet hinge over a (B, B) penalty matrix
+P, as one node. With d = diag(P), entry (r, i) of its (B, B) output is
+max(0, alpha - P[r, i] + d[i]) + max(0, alpha - P[r, i] + d[r]): caption r
+as a negative for image i (the hinge of column i), plus image i as a
+negative for caption r (the hinge of row r). The diagonal, a positive pair
+against itself, is 0. The VJP has a closed form: with A_txt = g [first
+argument > 0] and A_img = g [second argument > 0], both with a zero
+diagonal, dP = -(A_txt + A_img) off the diagonal, and dP[i, i] is the sum
+of row i of A_img plus column i of A_txt. Under reduce_sum, g is exactly 1,
+so dP holds small integers that any order of summation gives exactly: the
+op's bits equal those of the same hinge composed on the tape from matmul,
+add, relu_zero_floor and elementwise products.
+
+Subgradient conventions: relu_zero_floor, abs, order_penalty (where
+Y[k, d] == X[i, d]) and hinge (an argument of 0) use 0 at the kink.
 """
 
 from __future__ import annotations
@@ -217,15 +229,6 @@ def _bw_add(node, g):
     return (g, g)
 
 
-def _fw_mul(a, b, meta):
-    return a * b
-
-
-def _bw_mul(node, g):
-    a, b = node.inputs
-    return (g * b.data, g * a.data)
-
-
 def _fw_relu(x, meta):
     return np.maximum(0.0, x)
 
@@ -240,14 +243,6 @@ def _fw_abs(x, meta):
 
 def _bw_abs(node, g):
     return (g * np.sign(node.inputs[0].data),)
-
-
-def _fw_square(x, meta):
-    return x * x
-
-
-def _bw_square(node, g):
-    return (g * 2.0 * node.inputs[0].data,)
 
 
 def _fw_sum(x, meta):
@@ -331,6 +326,32 @@ def _bw_order_penalty(node, g):
         r *= g2[k, :, None]
         gx -= r
     return (gx, gy)
+
+
+def _hinge_args(p, alpha):
+    """The arguments of both hinges of every (r, i): alpha - P[r, i] + P[i, i]
+    (caption r against image i) and alpha - P[r, i] + P[r, r] (image i
+    against caption r)."""
+    margin = alpha - p
+    d = np.diagonal(p)
+    return margin + d[None, :], margin + d[:, None]
+
+
+def _fw_hinge(p, meta):
+    h_txt, h_img = _hinge_args(p, meta["alpha"])
+    out = np.maximum(0.0, h_txt) + np.maximum(0.0, h_img)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _bw_hinge(node, g):
+    h_txt, h_img = _hinge_args(node.inputs[0].data, node.meta["alpha"])
+    a_txt, a_img = g * (h_txt > 0.0), g * (h_img > 0.0)
+    np.fill_diagonal(a_txt, 0.0)
+    np.fill_diagonal(a_img, 0.0)
+    dp = -(a_txt + a_img)
+    np.fill_diagonal(dp, a_img.sum(axis=1) + a_txt.sum(axis=0))
+    return (dp,)
 
 
 def _fw_sigmoid(x, out=None):
@@ -455,6 +476,12 @@ def _check_order_penalty(kind, inputs, meta):
         raise _shape_err(kind, inputs, "expected (N,j) and (M,j)")
 
 
+def _check_hinge(kind, inputs, meta):
+    (p,) = inputs
+    if p.data.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise _shape_err(kind, inputs, "expected a square (B,B) penalty matrix")
+
+
 def _check_any(kind, inputs, meta):
     pass
 
@@ -478,13 +505,12 @@ def _check_lstm(kind, inputs, meta):
 OP_TABLE: dict[str, tuple] = {
     "matmul": (2, _check_matmul, _fw_matmul, _bw_matmul),
     "add": (2, _check_elementwise2, _fw_add, _bw_add),
-    "elementwise_mul": (2, _check_elementwise2, _fw_mul, _bw_mul),
     "relu_zero_floor": (1, _check_any, _fw_relu, _bw_relu),
     "abs": (1, _check_any, _fw_abs, _bw_abs),
-    "square": (1, _check_any, _fw_square, _bw_square),
     "sum": (1, _check_any, _fw_sum, _bw_sum),
     "order_penalty": (2, _check_order_penalty, _fw_order_penalty, _bw_order_penalty),
     "lstm": (4, _check_lstm, _fw_lstm, _bw_lstm),
+    "hinge": (1, _check_hinge, _fw_hinge, _bw_hinge),
 }
 
 
@@ -519,20 +545,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return forward_op("add", (a, b))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return forward_op("elementwise_mul", (a, b))
-
-
 def relu(x: Tensor) -> Tensor:
     return forward_op("relu_zero_floor", (x,))
 
 
 def absolute(x: Tensor) -> Tensor:
     return forward_op("abs", (x,))
-
-
-def square(x: Tensor) -> Tensor:
-    return forward_op("square", (x,))
 
 
 def reduce_sum(x: Tensor) -> Tensor:
@@ -551,14 +569,11 @@ def lstm(embedding: Tensor, w: Tensor, u: Tensor, b: Tensor, ids) -> Tensor:
     return forward_op("lstm", (embedding, w, u, b), ids=np.asarray(ids, dtype=np.int64))
 
 
-def neg(x: Tensor) -> Tensor:
-    """Composition: x * (-1)."""
-    return mul(x, Tensor.const(np.full(x.shape, -1.0)))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Composition: a + (-b)."""
-    return add(a, neg(b))
+def hinge(p: Tensor, alpha: float) -> Tensor:
+    """(B, B) triplet hinges over the penalty matrix `p`, with margin `alpha`;
+    entry (r, i) pays for caption r against image i and for image i against
+    caption r, and the diagonal is 0."""
+    return forward_op("hinge", (p,), alpha=float(alpha))
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:

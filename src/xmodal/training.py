@@ -24,9 +24,9 @@ every ScheduleState field, `epoch` (epochs completed) among them. A
 checkpoint holds all of it as named tensors, so a resumed run continues
 bit for bit as the uninterrupted one would: `max_epochs` counts epochs
 over the whole run, and the log's `epoch` keeps counting. A resumed run
-that had already stopped on `max_epochs` or `max_grow_cycles` runs no
-epoch. A `perfect_fit` stop cannot be told from the saved state, so a run
-resumed after one takes another epoch.
+that had already stopped, on `max_epochs`, `max_grow_cycles` or
+`perfect_fit`, runs no epoch and gives the same stop reason:
+ScheduleState.perfect_fit records whether the last epoch fit perfectly.
 """
 
 from __future__ import annotations
@@ -122,6 +122,7 @@ class ScheduleState:
     epochs_since_improve: int = 0
     grow_cycles: int = 0
     epoch: int = 0  # epochs completed
+    perfect_fit: int = 0  # 1 if the last epoch had zero loss and 100% val R@1 both ways
 
 
 def schedule_update(state: ScheduleState, epoch_loss: float, lr_init: float) -> str:
@@ -281,6 +282,9 @@ def restore_training_state(tensors: dict[str, np.ndarray], cfg: TrainConfig,
                               f"not a finite rate >= 0")
     if np.isnan(schedule.best_loss):
         raise DataFormatError("checkpoint tensor 'schedule.best_loss' holds nan")
+    if schedule.perfect_fit > 1:
+        raise DataFormatError(f"checkpoint tensor 'schedule.perfect_fit' holds "
+                              f"{schedule.perfect_fit}, not 0 or 1")
     return params, AdamState(m, v, t=scalar("adam.t", True)), schedule
 
 
@@ -313,8 +317,11 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
     log: list[dict] = []
     epochs = range(schedule.epoch + 1, cfg.max_epochs + 1)
     stop_reason = "max_epochs"
-    if schedule.epoch > 0 and schedule.grow_cycles >= cfg.max_grow_cycles:
-        # the run had stopped there; a fresh run always takes its first epoch
+    # A resumed run that had stopped there stops again, before any epoch;
+    # a fresh run always takes its first epoch.
+    if cfg.stop_when_perfect and schedule.perfect_fit:
+        epochs, stop_reason = range(0), "perfect_fit"
+    elif schedule.epoch > 0 and schedule.grow_cycles >= cfg.max_grow_cycles:
         epochs, stop_reason = range(0), "max_grow_cycles"
     sink = open(log_path, "a", encoding="utf-8") if log_path else None
     try:
@@ -347,14 +354,14 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
                 "val_r1_img": reports["image_retrieval"].overall.r_at[1],
                 "wall_ms": int((time.perf_counter() - t0) * 1000),
             }
+            schedule.perfect_fit = int(epoch_loss == 0.0 and entry["val_r1_sent"] == 100.0
+                                       and entry["val_r1_img"] == 100.0)
             log.append(entry)
             if sink:
                 sink.write(json.dumps(entry) + "\n")
                 sink.flush()
 
-            if (cfg.stop_when_perfect and epoch_loss == 0.0
-                    and entry["val_r1_sent"] == 100.0
-                    and entry["val_r1_img"] == 100.0):
+            if cfg.stop_when_perfect and schedule.perfect_fit:
                 stop_reason = "perfect_fit"
                 break
             if schedule.grow_cycles >= cfg.max_grow_cycles:

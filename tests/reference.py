@@ -1,5 +1,5 @@
-"""Test oracles: scalar penalty and variance, central finite differences,
-and all-zero model parameters.
+"""Test oracles: scalar penalty, central finite differences, a rank-one
+probe that makes a scalar loss of any matrix, and all-zero model parameters.
 
 The pipeline never calls these; the tests compare it against them.
 """
@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from xmodal.autodiff import ShapeError, Tape, Tensor, backward
+from xmodal.autodiff import ShapeError, Tape, Tensor, backward, matmul, reduce_sum
 from xmodal.model import ModelDims, ModelParams, param_shapes
 
 
@@ -28,12 +28,14 @@ def similarity(v_txt, v_img) -> float:
     return -order_penalty(v_txt, v_img)
 
 
-def variance_term(v) -> float:
-    """Population variance of the vector's components."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size < 1:
-        raise ShapeError("variance_term: empty vector")
-    return float(np.mean((v - np.mean(v)) ** 2))
+def rank_one_probe(out: Tensor, seed: int = 0) -> Tensor:
+    """The scalar r @ out @ c of a 2-D `out`, with r and c drawn from `seed`:
+    a loss that weighs every entry of `out` differently, built from matmul
+    and sum alone."""
+    rng = np.random.default_rng(seed)
+    r = rng.normal(size=(1, out.shape[0]))
+    c = rng.normal(size=(out.shape[1], 1))
+    return reduce_sum(matmul(matmul(Tensor.const(r), out), Tensor.const(c)))
 
 
 def zero_params(dims: ModelDims) -> ModelParams:

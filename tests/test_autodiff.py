@@ -1,9 +1,9 @@
 """Tensor op and reverse-mode gradient tests.
 
 Gradients are checked against central finite differences; matmul against a
-naive triple-loop product. Kinked ops (relu_zero_floor, abs, hinges built
-from them) are sampled away from the origin so the subgradient convention
-does not pollute the comparison.
+naive triple-loop product. Kinked ops (relu_zero_floor, abs, hinge) are
+sampled away from their kinks so the subgradient convention does not
+pollute the comparison.
 """
 
 import gc
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import finite_diff_check
+from reference import finite_diff_check, rank_one_probe
 from xmodal import autodiff as ad
 from xmodal.autodiff import ShapeError, Tape, Tensor
 
@@ -85,6 +85,8 @@ class TestForwardValues:
             ad.add(a, b)
         with pytest.raises(ShapeError, match=r"order_penalty.*\(2, 3\).*\(4, 5\)"):
             ad.order_penalty(a, b)
+        with pytest.raises(ShapeError, match=r"hinge.*\(2, 3\).*square"):
+            ad.hinge(a, 0.1)
         emb, w, u, b = (Tensor.const(a) for a in _lstm_params(
             np.random.default_rng(0), vocab=3, e=2, h=4))
         with pytest.raises(ShapeError, match=r"lstm.*\(3, 2\).*\(2, 3\)"):
@@ -132,25 +134,26 @@ class TestForwardValues:
 
 class TestBackward:
     def test_sum_of_squares(self):
+        # for x >= 0, the order penalty of x over zero is the sum of its squares
         t = Tape()
-        x = t.leaf([1.0, 2.0, 3.0])
-        loss = ad.reduce_sum(ad.square(x))
+        x = t.leaf([[1.0, 2.0, 3.0]])
+        loss = ad.reduce_sum(ad.order_penalty(Tensor.const(np.zeros((1, 3))), x))
         g = ad.backward(t, loss)
-        np.testing.assert_array_equal(g[x.node_id], [2.0, 4.0, 6.0])
+        np.testing.assert_array_equal(g[x.node_id], [[2.0, 4.0, 6.0]])
 
     def test_bilinear(self):
         t = Tape()
-        x = t.leaf([1.0, -2.0, 0.5])
-        y = t.leaf([3.0, 4.0, -1.0])
-        loss = ad.reduce_sum(ad.mul(x, y))
+        x = t.leaf([[1.0, -2.0, 0.5]])
+        y = t.leaf([[3.0], [4.0], [-1.0]])
+        loss = ad.reduce_sum(ad.matmul(x, y))
         g = ad.backward(t, loss)
-        np.testing.assert_array_equal(g[x.node_id], y.data)
-        np.testing.assert_array_equal(g[y.node_id], x.data)
+        np.testing.assert_array_equal(g[x.node_id], y.data.T)
+        np.testing.assert_array_equal(g[y.node_id], x.data.T)
 
     def test_non_scalar_loss_rejected(self):
         t = Tape()
         x = t.leaf([[1.0, 2.0]])
-        y = ad.square(x)
+        y = ad.absolute(x)
         with pytest.raises(ShapeError, match="scalar"):
             ad.backward(t, y)
 
@@ -158,36 +161,40 @@ class TestBackward:
         t = Tape()
         x = t.leaf([1.0, 2.0])
         y = t.leaf([3.0, 4.0])
-        loss = ad.reduce_sum(ad.square(x))
+        loss = ad.reduce_sum(ad.absolute(x))
         g = ad.backward(t, loss)
         np.testing.assert_array_equal(g[y.node_id], np.zeros(2))
 
     def test_returns_leaf_gradients_only(self):
         # intermediate gradients are dropped; a leaf after the loss still gets zeros
         t = Tape()
-        x = t.leaf([1.0, 2.0])
+        x = t.leaf([[1.0], [2.0]])
         y = t.leaf([[3.0]])
-        loss = ad.reduce_sum(ad.mul(ad.square(x), ad.absolute(x)))
+        # sum(x^2 |x|): the penalty of x over zero is the row of squares
+        squares = ad.order_penalty(Tensor.const(np.zeros((1, 1))), x)
+        loss = ad.reduce_sum(ad.matmul(squares, ad.absolute(x)))
         z = t.leaf([4.0])
         g = ad.backward(t, loss)
         assert sorted(g) == [x.node_id, y.node_id, z.node_id]
-        np.testing.assert_array_equal(g[x.node_id], [3.0, 12.0])
+        np.testing.assert_array_equal(g[x.node_id], [[3.0], [12.0]])
         np.testing.assert_array_equal(g[z.node_id], [0.0])
 
     def test_shared_node_sums_contributions(self):
         # f(x) = sum(x*x) + sum(x*c): x is used by two disjoint subgraphs.
+        # sum(x*x) is the order penalty of |x| over zero.
         rng = np.random.default_rng(7)
-        c = rng.normal(size=5)
+        c = rng.normal(size=(5, 1))
 
         def build(x):
-            return ad.add(ad.reduce_sum(ad.mul(x, x)),
-                          ad.reduce_sum(ad.mul(x, Tensor.const(c))))
+            squares = ad.order_penalty(Tensor.const(np.zeros((1, 5))), ad.absolute(x))
+            return ad.add(ad.reduce_sum(squares),
+                          ad.reduce_sum(ad.matmul(x, Tensor.const(c))))
 
-        x0 = rng.normal(size=5)
+        x0 = rng.normal(size=(1, 5))
         t = Tape()
         x = t.leaf(x0)
         g = ad.backward(t, build(x))[x.node_id]
-        np.testing.assert_allclose(g, 2.0 * x0 + c, atol=1e-12)
+        np.testing.assert_allclose(g, 2.0 * x0 + c.T, atol=1e-12)
         # perturbation oracle
         assert finite_diff_check(build, [x0], FD_STEP) < 1e-6
 
@@ -196,11 +203,18 @@ class TestBackward:
         # `scaled` (recorded first, so its VJP runs last) must leave b's alone
         t = Tape()
         a, b = t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 3)))
-        scaled = ad.mul(a, Tensor.const(np.full((2, 3), 3.0)))
+        scaled = ad.matmul(a, Tensor.const(3.0 * np.eye(3)))
         shared = ad.add(a, b)
         g = ad.backward(t, ad.reduce_sum(ad.add(shared, scaled)))
         np.testing.assert_array_equal(g[a.node_id], np.full((2, 3), 4.0))
         np.testing.assert_array_equal(g[b.node_id], np.ones((2, 3)))
+
+    def test_hinge_gradient_is_zero_at_the_kink(self):
+        # alpha 0 over a zero penalty matrix puts every hinge argument at 0
+        t = Tape()
+        p = t.leaf(np.zeros((3, 3)))
+        g = ad.backward(t, ad.reduce_sum(ad.hinge(p, 0.0)))
+        np.testing.assert_array_equal(g[p.node_id], np.zeros((3, 3)))
 
     def test_backward_consumes_the_tape(self):
         # emptied, the tape is freed by reference counting alone
@@ -209,7 +223,7 @@ class TestBackward:
         try:
             t = Tape()
             x = t.leaf([1.0, 2.0])
-            loss = ad.reduce_sum(ad.square(x))
+            loss = ad.reduce_sum(ad.absolute(x))
             ad.backward(t, loss)
             assert t.nodes == []
             with pytest.raises(ValueError, match="already consumed"):
@@ -249,7 +263,7 @@ class TestLstmKeepsItsForward:
         h = ad.lstm(*leaves, self.IDS)
         node = tape.nodes[h.node_id]
         after_forward(node)
-        grads = ad.backward(tape, ad.reduce_sum(ad.square(h)))
+        grads = ad.backward(tape, rank_one_probe(h))
         return node, [grads[leaf.node_id] for leaf in leaves]
 
     def test_backward_does_not_rerun_the_scan(self, monkeypatch):
@@ -284,7 +298,7 @@ class TestLstmKeepsItsForward:
         tape = Tape()
         h = ad.lstm(*(tape.leaf(a) for a in params), ids)
         gates_bytes = tape.nodes[h.node_id].meta["saved"]["gates"].nbytes
-        loss = ad.reduce_sum(ad.square(h))
+        loss = rank_one_probe(h)
         tracemalloc.start()
         try:
             ad.backward(tape, loss)
@@ -395,7 +409,7 @@ class TestBlockedKernels:
             h = ad.lstm(*leaves, ids)
             # copied: backward writes the gate gradients over the saved gates
             saved = {k: a.copy() for k, a in tape.nodes[h.node_id].meta["saved"].items()}
-            grads = ad.backward(tape, ad.reduce_sum(ad.square(h)))
+            grads = ad.backward(tape, rank_one_probe(h))
             return [h.data, saved["gates"], saved["cells"], saved["hiddens"],
                     *(grads[leaf.node_id] for leaf in leaves)]
 
@@ -533,11 +547,14 @@ def _lstm_params(rng, vocab, e, h):
     return (rng.normal(size=(vocab, e)), *(rng.uniform(-0.8, 0.8, s) for s in shapes))
 
 
+HINGE_ALPHA = 0.25  # the margin of the hinge op's gradient check
+
+
 def _op_point(kind, rng):
     """A random input list suitable for `kind`, avoiding kinks where needed."""
     if kind == "matmul":
         return [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]
-    if kind in ("add", "elementwise_mul"):
+    if kind == "add":
         return [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]
     if kind in ("relu_zero_floor", "abs"):
         return [_away_from_zero(rng, (2, 3))]
@@ -548,6 +565,14 @@ def _op_point(kind, rng):
                 return [x, y]
     if kind == "lstm":
         return list(_lstm_params(rng, vocab=4, e=3, h=2))
+    if kind == "hinge":
+        off = ~np.eye(4, dtype=bool)
+        while True:  # alpha - P[r, i] + P[i, i] and + P[r, r] away from the kink at 0
+            p = rng.normal(size=(4, 4))
+            d = np.diagonal(p)
+            args = np.stack([HINGE_ALPHA - p + d[None, :], HINGE_ALPHA - p + d[:, None]])
+            if np.abs(args[:, off]).min() > 0.05:
+                return [p]
     return [rng.normal(size=(2, 3))]
 
 
@@ -555,10 +580,12 @@ def _op_builder(kind):
     meta = {}
     if kind == "lstm":  # three steps, with rows repeated within and across steps
         meta = {"ids": np.array([[1, 3, 1], [1, 0, 3]])}
+    if kind == "hinge":
+        meta = {"alpha": HINGE_ALPHA}
 
     def build(*leaves):
         out = ad.forward_op(kind, leaves, **meta)
-        return ad.reduce_sum(ad.square(out))
+        return out if kind == "sum" else rank_one_probe(out)
 
     return build
 
@@ -574,7 +601,8 @@ def test_primitive_gradients_match_finite_differences(kind):
 
 def test_random_graphs_match_finite_differences():
     """Random compositions of primitives, five ops deep, against central FD."""
-    unary = ["square", "relu_zero_floor", "abs", "elementwise_mul"]
+    unary = ["matmul", "relu_zero_floor", "abs", "order_penalty"]
+    mix = np.array([[1.0, -0.5, 0.25], [0.5, 1.0, -0.75], [-0.25, 0.5, 1.0]])
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
         kinds = [unary[rng.integers(len(unary))] for _ in range(5)]
@@ -582,8 +610,11 @@ def test_random_graphs_match_finite_differences():
         def build(x, kinds=kinds):
             out = x
             for k in kinds:
-                if k == "elementwise_mul":
-                    out = ad.mul(out, out)
+                if k == "matmul":  # mixes the columns
+                    cols = out.shape[1]
+                    out = ad.matmul(out, Tensor.const(mix[:cols, :cols]))
+                elif k == "order_penalty":  # every row against every row: quadratic
+                    out = ad.order_penalty(out, out)
                 else:
                     out = ad.forward_op(k, (out,))
             return ad.reduce_sum(out)
@@ -593,22 +624,23 @@ def test_random_graphs_match_finite_differences():
 
 
 def test_finite_diff_exact_for_linear():
-    c = np.array([1.0, -2.0, 3.0])
+    c = np.array([[1.0], [-2.0], [3.0]])
 
     def build(x):
-        return ad.reduce_sum(ad.mul(x, Tensor.const(c)))
+        return ad.reduce_sum(ad.matmul(x, Tensor.const(c)))
 
-    err = finite_diff_check(build, [np.array([0.4, 0.1, -0.9])], FD_STEP)
+    err = finite_diff_check(build, [np.array([[0.4, 0.1, -0.9]])], FD_STEP)
     assert err < 1e-9
 
 
 def test_finite_diff_quadratic_tight():
     rng = np.random.default_rng(11)
 
-    def build(x):
-        return ad.reduce_sum(ad.square(x))
+    def build(x):  # sum(x*x), as the order penalty of |x| over zero
+        return ad.reduce_sum(ad.order_penalty(Tensor.const(np.zeros((1, 6))),
+                                              ad.absolute(x)))
 
-    assert finite_diff_check(build, [rng.normal(size=6)], FD_STEP) < 1e-6
+    assert finite_diff_check(build, [rng.normal(size=(1, 6))], FD_STEP) < 1e-6
 
 
 def test_finite_diff_rejects_bad_step():

@@ -1,0 +1,48 @@
+"""Held-out learning gate: a short seeded run must rank unseen images and
+captions well above chance.
+
+The corpus is perfbench's topic corpus (200 images with 5 captions each,
+f = 64). Images 0-149 train and 150-199 are held out; the vocabulary comes
+from the training captions alone. A model that learned nothing ranks at
+chance, and one that collapsed its embeddings ranks every query at chance
+or worse, so both fail the bar.
+"""
+
+import numpy as np
+import pytest
+
+from perfbench.corpus import CorpusSpec, build_corpus
+from xmodal.evaluation import evaluate_records
+from xmodal.loss import LossConfig
+from xmodal.model import ModelDims, ModelParams
+from xmodal.text import build_vocab, normalize
+from xmodal.training import TrainConfig, TrainingData, train
+
+SPEC = CorpusSpec(n_images=200, captions_per_image=5, feature_dim=64)
+TRAIN_IMAGES = 150
+# Held-out med r of random embeddings: a caption's image is uniform over the
+# 50 held-out images, and an image's best caption is the first of its 5
+# among 250 (the mean over 200 sets of random embeddings).
+CHANCE_MED_R = {"image_retrieval": 25.5, "sentence_retrieval": 32.4}
+BAR = 0.6  # held-out med r must be at most this share of chance
+
+
+def held_out_med_r(seed: int, lr_init: float) -> dict[str, float]:
+    records, table = build_corpus(SPEC, seed)
+    train_records, held_out = records[:TRAIN_IMAGES], records[TRAIN_IMAGES:]
+    vocab = build_vocab([normalize(c) for r in train_records for c in r.captions],
+                        min_freq=2)
+    dims = ModelDims(vocab.size, embed_dim=16, hidden_dim=32, feature_dim=SPEC.feature_dim)
+    params = ModelParams.init(dims, np.random.default_rng(np.random.SeedSequence([seed, 0])))
+    cfg = TrainConfig(dims, LossConfig(alpha=0.05), seq_len=20, seed=seed, lr_init=lr_init,
+                      max_epochs=8, stop_when_perfect=False)
+    result = train(TrainingData(train_records, table, vocab, held_out), params, cfg)
+    reports = evaluate_records(held_out, table, vocab, result.params, cfg.seq_len)
+    return {direction: report.overall.med_r for direction, report in reports.items()}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_held_out_ranks_beat_chance(seed):
+    med_r = held_out_med_r(seed, lr_init=1e-3)
+    for direction, chance in CHANCE_MED_R.items():
+        assert med_r[direction] <= BAR * chance, (direction, med_r)

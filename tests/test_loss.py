@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import finite_diff_check, order_penalty, similarity, variance_term
-from xmodal import autodiff as ad
-from xmodal import loss as lo
+from reference import finite_diff_check, order_penalty, similarity
 from xmodal.autodiff import (
     ShapeError,
     Tape,
@@ -18,46 +16,18 @@ from xmodal.autodiff import (
 from xmodal.loss import LossConfig, batch_loss
 
 
-def _hardest(hinges):
-    """(index, value) of the largest hinge; ties go to the lowest index."""
-    best = max(h for _, h in hinges)
-    return next((r, h) for r, h in hinges if h == best)
-
-
-def _batch_variance_oracle(rows):
-    """Mean over components of each component's population variance."""
-    rows = np.asarray(rows)
-    return sum(variance_term(rows[:, d]) for d in range(rows.shape[1])) / rows.shape[1]
-
-
-def brute_force_loss(v_txt, v_img, alpha, negative_mode="sum", lambda_var=0.0,
-                     variance_scope="components"):
-    """Independent triplet enumeration using scalar penalties only.
-
-    Every negative a positive pays for also earns the variance bonus of its
-    embedding (`components`) or of its whole modality batch (`batch`).
-    """
+def brute_force_loss(v_txt, v_img, alpha):
+    """Independent triplet enumeration using scalar penalties only."""
     n = len(v_txt)
-
-    def bonus(rows, r):
-        if variance_scope == "components":
-            return lambda_var * variance_term(rows[r])
-        return lambda_var * _batch_variance_oracle(rows)
-
     total = 0.0
     for i in range(n):
         s_ii = similarity(v_txt[i], v_img[i])
-        txt_hinges = [(r, max(0.0, alpha - s_ii + similarity(v_txt[r], v_img[i])))
+        txt_hinges = [max(0.0, alpha - s_ii + similarity(v_txt[r], v_img[i]))
                       for r in range(n) if r != i]
-        img_hinges = [(k, max(0.0, alpha - s_ii + similarity(v_txt[i], v_img[k])))
+        img_hinges = [max(0.0, alpha - s_ii + similarity(v_txt[i], v_img[k]))
                       for k in range(n) if k != i]
-        if negative_mode == "max":
-            txt_hinges = [_hardest(txt_hinges)]
-            img_hinges = [_hardest(img_hinges)]
-        for r, h in txt_hinges:
-            total += h - bonus(v_txt, r)
-        for k, h in img_hinges:
-            total += h - bonus(v_img, k)
+        for h in txt_hinges + img_hinges:
+            total += h
     return total
 
 
@@ -104,22 +74,6 @@ class TestSimilarity:
             i = rng.uniform(0, 2, 5)
             s = similarity(t, i)
             assert (s == 0.0) == bool(np.all(i <= t))
-
-
-class TestVarianceTerm:
-    def test_constant_vector(self):
-        assert variance_term([3.0, 3.0, 3.0]) == 0.0
-
-    def test_hand_value(self):
-        assert variance_term([0.0, 2.0]) == 1.0
-
-    def test_matches_two_pass_oracle(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            v = rng.normal(size=rng.integers(1, 12))
-            mean = sum(v) / len(v)
-            want = sum((x - mean) ** 2 for x in v) / len(v)
-            assert abs(variance_term(v) - want) < 1e-12
 
 
 class TestPairwise:
@@ -192,14 +146,12 @@ class TestBatchLoss:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     @pytest.mark.parametrize("j", [2, 8])
-    @pytest.mark.parametrize("mode", ["sum", "max"])
-    def test_matches_brute_force_grid(self, n, j, mode):
+    def test_matches_brute_force_grid(self, n, j):
         rng = np.random.default_rng(100 * n + j)
         for _ in range(5):
             t, v_txt, v_img = make_batch(rng, n, j)
-            cfg = LossConfig(alpha=0.25, negative_mode=mode)
-            out = batch_loss(v_txt, v_img, cfg)
-            want = brute_force_loss(v_txt.data, v_img.data, 0.25, mode)
+            out = batch_loss(v_txt, v_img, LossConfig(alpha=0.25))
+            want = brute_force_loss(v_txt.data, v_img.data, 0.25)
             assert float(out.data) == pytest.approx(want, abs=1e-12)
 
     def test_b1_rejected(self):
@@ -261,93 +213,26 @@ class TestBatchLoss:
                 return txt, img
         raise AssertionError("could not sample a kink-free batch")
 
-    @pytest.mark.parametrize("mode", ["sum", "max"])
-    def test_gradients_match_fd(self, mode):
+    def test_gradients_match_fd(self):
         rng = np.random.default_rng(9)
         alpha = 0.25
         txt, img = self._kink_free_batch(rng, 4, 8, alpha)
-        cfg = LossConfig(alpha=alpha, negative_mode=mode)
+        cfg = LossConfig(alpha=alpha)
 
         def build(a, b):
             return batch_loss(a, b, cfg)
 
         assert finite_diff_check(build, [txt, img], 1e-5) < 1e-4
 
-    def test_variance_term_subtracted_sum_mode(self):
-        rng = np.random.default_rng(10)
-        txt = rng.uniform(0, 2, (3, 4))
-        img = rng.uniform(0, 2, (3, 4))
-        lam = 0.01
-        t1 = Tape()
-        base = float(batch_loss(t1.leaf(txt), t1.leaf(img), LossConfig(alpha=0.2)).data)
-        t2 = Tape()
-        cfg = LossConfig(alpha=0.2, lambda_var=lam)
-        with_var = float(batch_loss(t2.leaf(txt), t2.leaf(img), cfg).data)
-        # each positive subtracts lam * sum of the other rows' variances
-        want = base
-        for i in range(3):
-            for r in range(3):
-                if r != i:
-                    want -= lam * (variance_term(txt[r]) + variance_term(img[r]))
-        assert with_var == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize("scope", ["components", "batch"])
-    @pytest.mark.parametrize("mode", ["sum", "max"])
-    def test_variance_gradients_match_fd(self, mode, scope):
-        rng = np.random.default_rng(11)
-        alpha = 0.25
-        txt, img = TestBatchLoss._kink_free_batch(self, rng, 3, 5, alpha)
-        cfg = LossConfig(alpha=alpha, lambda_var=0.05, negative_mode=mode,
-                         variance_scope=scope)
-
-        def build(a, b):
-            return batch_loss(a, b, cfg)
-
-        assert finite_diff_check(build, [txt, img], 1e-5) < 1e-4
-
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    @pytest.mark.parametrize("scope", ["components", "batch"])
-    @pytest.mark.parametrize("mode", ["sum", "max"])
-    def test_variance_bonus_matches_brute_force(self, n, scope, mode):
-        rng = np.random.default_rng(200 + 10 * n)
-        for _ in range(3):
-            t, v_txt, v_img = make_batch(rng, n, 4)
-            cfg = LossConfig(alpha=0.25, lambda_var=0.05, negative_mode=mode,
-                             variance_scope=scope)
-            out = batch_loss(v_txt, v_img, cfg)
-            want = brute_force_loss(v_txt.data, v_img.data, 0.25, mode, 0.05, scope)
-            assert float(out.data) == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize("lambda_var,scope", [(0.0, "components"),
-                                                  (0.05, "components"),
-                                                  (0.05, "batch")])
-    @pytest.mark.parametrize("mode", ["sum", "max"])
-    def test_tape_size_does_not_grow_with_batch(self, mode, lambda_var, scope):
-        cfg = LossConfig(alpha=0.2, lambda_var=lambda_var, negative_mode=mode,
-                         variance_scope=scope)
-        sizes = []
-        for n in (4, 64):
+    def test_tape_size_does_not_grow_with_batch(self):
+        # the order_penalty matrix, its hinges and their sum, at any B
+        cfg = LossConfig(alpha=0.2)
+        for n in (2, 4, 64):
             t, v_txt, v_img = make_batch(np.random.default_rng(n), n, 6)
             before = len(t.nodes)
             batch_loss(v_txt, v_img, cfg)
-            sizes.append(len(t.nodes) - before)
-        assert sizes[0] == sizes[1]
-
-    def test_batch_variance_scope_runs_and_differs(self):
-        rng = np.random.default_rng(12)
-        txt = rng.uniform(0, 2, (3, 4))
-        img = rng.uniform(0, 2, (3, 4))
-        t1 = Tape()
-        comp = float(batch_loss(t1.leaf(txt), t1.leaf(img),
-                                LossConfig(alpha=0.2, lambda_var=0.1)).data)
-        t2 = Tape()
-        batch = float(batch_loss(t2.leaf(txt), t2.leaf(img),
-                                 LossConfig(alpha=0.2, lambda_var=0.1,
-                                            variance_scope="batch")).data)
-        assert comp != batch
+            assert [node.kind for node in t.nodes[before:]] == ["order_penalty", "hinge", "sum"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LossConfig(alpha=-0.1)
-        with pytest.raises(ValueError):
-            LossConfig(alpha=0.1, negative_mode="hardest")

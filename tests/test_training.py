@@ -9,7 +9,7 @@ from xmodal import autodiff as ad
 from xmodal import evaluation as ev
 from xmodal import training
 from xmodal.io import DataFormatError, FeatureTable, load_checkpoint, save_checkpoint
-from xmodal.loss import VARIANCE_SCOPES, LossConfig, batch_loss
+from xmodal.loss import LossConfig, batch_loss
 from xmodal.model import ModelDims, ModelParams, encode_image_batch, encode_text_batch
 from xmodal.io import DatasetRecord
 from xmodal.text import build_vocab, normalize
@@ -309,15 +309,11 @@ class TestTrainLoop:
         token_ids, feats = prepare_pairs(data.records, data.features, data.vocab,
                                          cfg.seq_len)
         params = ModelParams.init(cfg.dims, np.random.default_rng(1))
-        kinds = set()
-        for scope in VARIANCE_SCOPES:
-            tape = ad.Tape()
-            p = params.as_tracked(tape)
-            v_txt = encode_text_batch(token_ids[:4], p)
-            v_img = encode_image_batch(feats[:4], p)
-            batch_loss(v_txt, v_img, replace(cfg.loss, lambda_var=0.05,
-                                             variance_scope=scope))
-            kinds |= {node.kind for node in tape.nodes}
+        tape = ad.Tape()
+        p = params.as_tracked(tape)
+        batch_loss(encode_text_batch(token_ids[:4], p), encode_image_batch(feats[:4], p),
+                   cfg.loss)
+        kinds = {node.kind for node in tape.nodes}
         assert kinds - {"leaf"} == set(ad.OP_TABLE)
 
     def test_tail_batch_of_one_dropped(self):
@@ -465,9 +461,9 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("key, value", [
         ("schedule.grow_cycles", -1.0), ("schedule.epoch", 2.5), ("adam.t", np.nan),
         ("schedule.batch_size", 2.0**53), ("schedule.lr", np.nan), ("schedule.lr", -0.1),
-        ("schedule.best_loss", np.nan),
+        ("schedule.best_loss", np.nan), ("schedule.perfect_fit", 2.0),
     ], ids=["negative-count", "fractional-count", "nan-count", "count-at-2**53",
-            "nan-lr", "negative-lr", "nan-best-loss"])
+            "nan-lr", "negative-lr", "nan-best-loss", "perfect-fit-not-0-or-1"])
     def test_bad_scalar_rejected_by_name(self, small_training_setup, key, value):
         # the counts are read back from float64 tensors, so restore checks them
         cfg, ck = self._checkpoint(small_training_setup)
@@ -516,13 +512,11 @@ class TestCheckpointResume:
         self._assert_same_run(straight, tail, head.log + tail.log)
         return straight
 
-    @pytest.mark.parametrize("mode, batch_size", [
-        ("sum", 4), ("max", 4), ("sum", 2), ("max", 2)])
+    @pytest.mark.parametrize("batch_size", [4, 2])
     def test_resume_is_the_uninterrupted_run(self, small_training_setup, tmp_path,
-                                             mode, batch_size):
+                                             batch_size):
         data, cfg = small_training_setup
-        cfg = replace(cfg, max_epochs=4, stop_when_perfect=False, batch_size=batch_size,
-                      loss=replace(cfg.loss, negative_mode=mode, lambda_var=0.05))
+        cfg = replace(cfg, max_epochs=4, stop_when_perfect=False, batch_size=batch_size)
         straight = self._split_run(data, cfg, 2, tmp_path)
         assert [e["epoch"] for e in straight.log] == [1, 2, 3, 4]
 
@@ -555,6 +549,29 @@ class TestCheckpointResume:
         for name in result.params.tensors:
             assert np.array_equal(again.params.tensors[name], result.params.tensors[name])
 
+    def test_resuming_after_a_perfect_fit_runs_no_epoch(self, small_training_setup,
+                                                        tmp_path):
+        # one batch of all 12 records fits them at this rate, then the run
+        # stops; split after that stop, the resume must stop too
+        data, cfg = small_training_setup
+        cfg = replace(cfg, lr_init=0.01, batch_size=len(data.records), max_epochs=100)
+        straight = self._split_run(data, cfg, 90, tmp_path)
+        assert straight.stop_reason == "perfect_fit" and straight.schedule.perfect_fit == 1
+        assert straight.log[-1]["epoch"] < 90
+
+    def test_perfect_fit_is_recorded_without_stopping(self, small_training_setup):
+        # the flag is state, not a stop: a run that may not stop on a perfect
+        # fit records it too, and a resume that may stop there does
+        data, cfg = small_training_setup
+        cfg = replace(cfg, lr_init=0.01, batch_size=len(data.records), max_epochs=100)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
+        stops = train(data, params, cfg)
+        runs_on = train(data, params, replace(cfg, stop_when_perfect=False,
+                                              max_epochs=stops.log[-1]["epoch"]))
+        assert runs_on.stop_reason == "max_epochs" and runs_on.schedule == stops.schedule
+        ck = training.checkpoint_tensors(runs_on.params, runs_on.adam, runs_on.schedule)
+        again = resume_train(data, ck, cfg)
+        assert again.log == [] and again.stop_reason == "perfect_fit"
 
     @staticmethod
     def _growing(cfg, monkeypatch, max_grow_cycles):
