@@ -1,16 +1,18 @@
 """Test oracles: scalar penalty, central finite differences, a rank-one
-probe that makes a scalar loss of any matrix, and all-zero model parameters.
+probe and a weighted sum that make a scalar loss of any matrix, and all-zero
+model parameters.
 
 The pipeline never calls these; the tests compare it against them.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
 
-from xmodal.autodiff import ShapeError, Tape, Tensor, backward, matmul, reduce_sum
+from xmodal.autodiff import ShapeError, Tape, Tensor, add, backward, matmul, reduce_sum
 from xmodal.model import ModelDims, ModelParams, param_shapes
 
 
@@ -36,6 +38,14 @@ def rank_one_probe(out: Tensor, seed: int = 0) -> Tensor:
     r = rng.normal(size=(1, out.shape[0]))
     c = rng.normal(size=(out.shape[1], 1))
     return reduce_sum(matmul(matmul(Tensor.const(r), out), Tensor.const(c)))
+
+
+def weighted_sum(out: Tensor, w) -> Tensor:
+    """sum(out * w) of a 2-D `out`, built from matmul, add and sum alone: the
+    sum over rows i of e_i @ out @ w[i], with e_i the one-hot row i."""
+    terms = [matmul(matmul(Tensor.const(e[None, :]), out), Tensor.const(row[:, None]))
+             for e, row in zip(np.eye(out.shape[0]), np.asarray(w))]
+    return reduce_sum(functools.reduce(add, terms))
 
 
 def zero_params(dims: ModelDims) -> ModelParams:

@@ -585,7 +585,9 @@ def _op_builder(kind):
 
     def build(*leaves):
         out = ad.forward_op(kind, leaves, **meta)
-        return out if kind == "sum" else rank_one_probe(out)
+        if kind == "sum":  # 2 * sum: the sum's VJP sees an upstream gradient other than 1
+            return ad.add(out, out)
+        return rank_one_probe(out)
 
     return build
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reference import finite_diff_check, rank_one_probe, zero_params
+from reference import finite_diff_check, weighted_sum, zero_params
 from xmodal import autodiff as ad
 from xmodal import model
 from xmodal.autodiff import ShapeError, Tape, Tensor
@@ -155,10 +155,11 @@ class TestEncodeText:
         shapes = model.param_shapes(dims)
         names = [n for n in shapes if not n.startswith("image.")]
         ids = rng.integers(0, 7, size=(2, 4))
+        w = rng.normal(size=(2, 5))  # fixed mixing weights make the loss scalar
 
         def build(*leaves):
             p = dict(zip(names, leaves))
-            return rank_one_probe(model.encode_text_batch(ids, p))
+            return weighted_sum(model.encode_text_batch(ids, p), w)
 
         point = [rng.uniform(-0.4, 0.4, shapes[n]) for n in names]
         assert finite_diff_check(build, point, FD_STEP) < FD_TOL
@@ -201,10 +202,11 @@ class TestEncodeImage:
         shapes = model.param_shapes(dims)
         names = [n for n in shapes if n.startswith("image.")]
         feats = rng.normal(size=(3, 4))
+        w = rng.normal(size=(3, 6))
 
         def build(*leaves):
             p = dict(zip(names, leaves))
-            return rank_one_probe(model.encode_image_batch(feats, p))
+            return weighted_sum(model.encode_image_batch(feats, p), w)
 
         point = [rng.uniform(-0.5, 0.5, shapes[n]) for n in names]
         assert finite_diff_check(build, point, FD_STEP) < FD_TOL
