@@ -41,16 +41,22 @@ gates, so backward allocates no second (L, B, 4h) array.
 order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
 and (M, j) rows as one node, built without an (N, M, j) intermediate;
 pairwise_order_penalty is its untracked call on arrays. The forward splits
-the rows of X into blocks whose (rows, j) slab fits in L2
-(PENALTY_BLOCK_BYTES); each block loops over the rows of Y and writes its
-own rows of the result. Several blocks run on a thread pool sized to the
-CPUs the process may use, since numpy releases the GIL inside ufuncs; a
-training batch is one block and runs on the calling thread, as does any call
-from one of the pool's own workers, which could otherwise wait on the pool
-it occupies. Every entry is computed the same way whatever the blocking, so
-the bits do not depend on it;
-paired_order_penalty computes the penalty of row i of X against row i of Y
-the same way, so it equals the matrix's (i, i) entry bit for bit.
+the rows of X into blocks of as many rows as a float64 (rows, j) slab of
+PENALTY_BLOCK_BYTES holds, so that slab stays in L2; each block loops over
+the rows of Y and writes its own rows of the result. Several blocks run on a
+thread pool sized to the CPUs the process may use, since numpy releases the
+GIL inside ufuncs; a training batch is one block and runs on the calling
+thread, as does any call from one of the pool's own workers, which could
+otherwise wait on the pool it occupies. Every entry is computed the same way
+whatever the blocking, so the bits do not depend on it. The output dtype
+follows the inputs. float64, the op's dtype, sums each row's squares with
+np.sum(np.square(v), axis=1), the kernel and bits the loss and the paired
+pass share. float32 rows, which only pairwise_order_penalty takes, give a
+float32 matrix through the same blocks and pool, with each row's reduction
+fused into np.vecdot(v, v); a float32 block keeps the float64 row count, so
+its X rows and slab together take what one float64 slab does.
+paired_order_penalty computes the float64 penalty of row i of X against row
+i of Y the same way, so it equals the matrix's (i, i) entry bit for bit.
 The backward loops over the rows of Y against the whole of X. All three
 form max(0, Y[k] - X) with _violations, in one slab reused for every k.
 
@@ -87,7 +93,7 @@ import numpy as np
 
 GATES = ("i", "f", "g", "o")  # column blocks of the lstm op's w, u and b
 LSTM_BLOCK = 512  # captions per block of the lstm scan
-PENALTY_BLOCK_BYTES = 1 << 20  # size of the slab of X rows one order_penalty block holds
+PENALTY_BLOCK_BYTES = 1 << 20  # size of the float64 slab of X rows one order_penalty block holds
 POOL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)  # CPUs the process may use
 
@@ -267,13 +273,15 @@ def _blocks(n: int, size: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _penalty_block_rows(x) -> int:
-    return max(1, PENALTY_BLOCK_BYTES // (x.itemsize * max(1, x.shape[1])))
+def penalty_block_rows(x) -> int:
+    """Rows of X in one order_penalty block: a float64 slab of them, x's
+    columns wide, takes PENALTY_BLOCK_BYTES, whatever x's dtype."""
+    return max(1, PENALTY_BLOCK_BYTES // (8 * max(1, x.shape[1])))
 
 
 def penalty_round_rows(x) -> int:
     """Rows of X that the order_penalty forward splits into one block per pool thread."""
-    return POOL_WORKERS * _penalty_block_rows(x)
+    return POOL_WORKERS * penalty_block_rows(x)
 
 
 def _violations(y, x, slab):
@@ -283,13 +291,15 @@ def _violations(y, x, slab):
 
 def _order_penalty_rows(x, y, out):
     slab = np.empty_like(x)  # reused for every k instead of fresh temporaries
+    fused = x.dtype == np.float32
     for k in range(y.shape[0]):
-        out[:, k] = np.sum(np.square(_violations(y[k], x, slab), out=slab), axis=1)
+        v = _violations(y[k], x, slab)
+        out[:, k] = np.vecdot(v, v) if fused else np.sum(np.square(v, out=v), axis=1)
 
 
 def _fw_order_penalty(x, y, meta):
-    out = np.empty((x.shape[0], y.shape[0]))
-    blocks = _blocks(x.shape[0], _penalty_block_rows(x))
+    out = np.empty((x.shape[0], y.shape[0]), dtype=x.dtype)
+    blocks = _blocks(x.shape[0], penalty_block_rows(x))
     if len(blocks) == 1 or _in_pool_thread():
         _order_penalty_rows(x, y, out)
     else:
@@ -299,8 +309,18 @@ def _fw_order_penalty(x, y, meta):
 
 def pairwise_order_penalty(x_rows, y_rows) -> np.ndarray:
     """Penalty matrix, entry (i, k) = ||max(0, y_rows[k] - x_rows[i])||^2:
-    the order_penalty op on untracked arrays."""
-    return order_penalty(Tensor.const(x_rows), Tensor.const(y_rows)).data
+    the order_penalty op on untracked arrays.
+
+    Its dtype follows the inputs'. Where they promote to float32, the matrix
+    is float32, formed by the op's forward with the fused row reduction;
+    otherwise it is the op's float64 matrix, bit for bit.
+    """
+    x, y = np.asarray(x_rows), np.asarray(y_rows)
+    if np.result_type(x, y) != np.float32:
+        return order_penalty(Tensor.const(x), Tensor.const(y)).data
+    _check_order_penalty("pairwise_order_penalty", (x, y), {})
+    return _fw_order_penalty(x.astype(np.float32, copy=False),
+                             y.astype(np.float32, copy=False), {})
 
 
 def paired_order_penalty(x_rows, y_rows) -> np.ndarray:
@@ -471,8 +491,8 @@ def _check_elementwise2(kind, inputs, meta):
 
 
 def _check_order_penalty(kind, inputs, meta):
-    x, y = inputs
-    if x.data.ndim != 2 or y.data.ndim != 2 or x.shape[1] != y.shape[1]:
+    x, y = inputs  # tensors, or arrays for a float32 pairwise_order_penalty
+    if len(x.shape) != 2 or len(y.shape) != 2 or x.shape[1] != y.shape[1]:
         raise _shape_err(kind, inputs, "expected (N,j) and (M,j)")
 
 

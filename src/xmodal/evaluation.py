@@ -13,23 +13,37 @@ among equals. Its 1-based rank is
 
     1 + #(penalty < best) + #(penalty == best and index < first)
 
-`retrieval_ranks` counts this for both directions without holding the
-(captions, images) penalty matrix:
+over the float64 penalties. `retrieval_ranks` counts this for both
+directions without holding the (captions, images) penalty matrix:
 
 - A relevant pass computes each caption's penalty against its own image with
-  autodiff's `paired_order_penalty`, whose bits equal the matrix entry's.
-  That is the caption's `best`, and its image is its `first`. Each image's
-  `best` is the least of its captions' penalties, its `first` the lowest
-  caption index holding that value.
-- A streamed pass forms the matrix one (chunk, images) slab at a time with
-  autodiff's `pairwise_order_penalty`. Each caption's count runs along its
-  slab row; each image's counts down the slab's columns are added to a
-  running total. Then the slab is dropped.
+  autodiff's `paired_order_penalty`, whose bits equal the float64 matrix
+  entry's. That is the caption's `best`, and its image is its `first`. Each
+  image's `best` is the least of its captions' penalties, its `first` the
+  lowest caption index holding that value.
+- A screened pass forms the matrix one (chunk, images) slab at a time in
+  float32: `pairwise_order_penalty` of the chunk's captions and the images,
+  both cast to float32. `screen_bound` bounds each float32 entry's distance
+  from the float64 one by K P32 + F, with F from the two rows' norms. That
+  turns each query's `best` into two float32 thresholds, rounded outward: an
+  entry below the lower one is certainly ahead of the query's best relevant
+  item, an entry above the upper one certainly is not. Each caption's
+  counts run along its slab row, each image's down the slab's columns.
+- The pairs between a query's two thresholds, typically well under 1% of
+  them, are rechecked: `paired_order_penalty` gives their float64 penalties,
+  bit-equal to the matrix's, in pieces of one order_penalty block of
+  gathered rows, and they are counted by the rule above.
+- Where more than DENSE of a piece's pairs fall between thresholds, as in a
+  collapsed or heavily tied gallery, the rest of the chunk is counted on its
+  float64 slab with `count_ahead`, the exact pass the screen replaced.
 
-A chunk is one round of the order-penalty thread pool, one
-PENALTY_BLOCK_BYTES block of captions per pool thread, so no core waits on
-an odd last block. Memory is O(chunk x images), and the ranks equal the
-full matrix's.
+So the ranks equal the float64 matrix's. The screen runs when no float32
+penalty can overflow (so every float32 entry is finite); otherwise every
+chunk takes the float64 pass. A chunk is one round of the order-penalty
+thread pool: one block of captions per pool thread, so no core waits on an
+odd last block, and a float32 block has as many rows as a float64 one.
+Memory is O(chunk x images): a chunk's float32 slab is half its float64
+slab, and the screen's boolean masks cover SCREEN_PIECE entries at a time.
 
 encode_corpus takes its token rows, caption owners and image features from
 io.record_rows, the path training takes too.
@@ -43,7 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # module globals, so wrapping evaluation's names covers every call ranking makes
-from .autodiff import paired_order_penalty, pairwise_order_penalty, penalty_round_rows
+from .autodiff import (paired_order_penalty, pairwise_order_penalty, penalty_block_rows,
+                       penalty_round_rows)
 from .model import ModelParams, encode_image_batch, encode_text_batch
 from .io import record_rows
 from .text import Vocabulary
@@ -125,6 +140,150 @@ def _caption_owners(cap_owner, n_caps: int, n_imgs: int) -> np.ndarray:
     return owner
 
 
+KAPPA = 2.0 ** -22  # splits the cross term of screen_bound's error bound
+DENSE = 0.25  # undecided share of a screened piece above which the chunk's rest goes to float64
+SCREEN_PIECE = 1 << 18  # entries of a float32 chunk screened at a time
+
+
+def screen_bound(j: int, norm_sum) -> tuple[float, np.ndarray]:
+    """(K, F) with |P32 - P64| <= K P32 + F for the penalty of two rows x, y
+    of j float64 entries whose norms add up to at most `norm_sum`.
+
+    P64 is the entry pairwise_order_penalty gives for the float64 rows, P32
+    the one it gives for the rows cast to float32, and P the exact real
+    ||max(0, y - x)||^2. With u = 2^-24, u64 = 2^-53, gamma_n = n u / (1 - n u)
+    in float32 and g64 the same in float64 (Higham 2002, section 3.1), and
+    v the float32 vector max(0, fl(fl(y) - fl(x))) whose squares P32 sums:
+
+    - Cast and subtraction: each entry of fl(y) - fl(x) carries at most one
+      rounding of x, one of y and one of the difference, so v is within
+      D = (2u + u^2)(||x|| + ||y||) + j 2^-148 of max(0, y - x) in norm,
+      since max(0, .) is 1-Lipschitz; j 2^-148 covers a cast or a
+      difference that lands below float32's normal range.
+    - Reduction: j products and j - 1 additions in any order, np.vecdot's
+      included, give |P32 - ||v||^2| <= gamma_j ||v||^2 + j 2^-148, the
+      last term for products that underflow.
+    - Cross term: ||v||^2 - P = 2<v, d> - ||d||^2 for d = v - max(0, y - x),
+      and 2 |<v, d>| <= KAPPA ||v||^2 + D^2 / KAPPA, so
+      |||v||^2 - P| <= KAPPA ||v||^2 + (1 + 1/KAPPA) D^2.
+    - float64: one rounding of the difference, one of its square and j - 1
+      additions give |P64 - P| <= g64(j + 2) P + j 2^-1072.
+
+    Adding them, with ||v||^2 <= (P32 + j 2^-148) / (1 - gamma_j):
+    K = (gamma_j + KAPPA + g64(j + 2)(1 + KAPPA)) / (1 - gamma_j) and
+    F = (1 + g64(j + 2))(1 + 1/KAPPA) D^2 + (1 + K) j 2^-148 + j 2^-1072.
+    Both are raised by a factor 1 + 2^-30, which covers the float64
+    rounding of this arithmetic and of the norms. KAPPA = 2^-22 balances
+    KAPPA P against D^2 / KAPPA at penalties and norms near 1. The bound
+    assumes no float32 overflow, j u < 1/2 and finite P64.
+    """
+    u, u64, tiny = 2.0 ** -24, 2.0 ** -53, j * 2.0 ** -148
+    g32 = j * u / (1 - j * u)
+    g64 = (j + 2) * u64 / (1 - (j + 2) * u64)
+    k = (g32 + KAPPA + g64 * (1 + KAPPA)) / (1 - g32)
+    d = (2 * u + u * u) * np.asarray(norm_sum, dtype=np.float64) + tiny
+    f = (1 + g64) * (1 + 1 / KAPPA) * d * d + (1 + k) * tiny + j * 2.0 ** -1072
+    return k * (1 + 2.0 ** -30), f * (1 + 2.0 ** -30)
+
+
+def _thresholds(best: np.ndarray, k: float, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float32 (lo, hi) per query: P32 < lo proves P64 < best and P32 > hi
+    proves P64 > best, by screen_bound. Rounded to float32 and then one
+    float32 step outward, which also covers this float64 arithmetic."""
+    lo = ((best - f) / (1 + k)).astype(np.float32)
+    hi = ((best + f) / (1 - k)).astype(np.float32)
+    return (np.nextafter(lo, np.float32(-np.inf)), np.nextafter(hi, np.float32(np.inf)))
+
+
+def _screens(v_txt: np.ndarray, v_img: np.ndarray) -> bool:
+    """Whether screen_bound holds for these rows: no penalty can overflow in
+    float32 (so none in float64), and j u stays far below 1/2."""
+    j = v_txt.shape[1]
+    big = max(max(float(v.max(initial=0.0)), -float(v.min(initial=0.0))) for v in (v_txt, v_img))
+    return j <= 1 << 16 and 4.0 * j * big * big <= 2.0 ** 126
+
+
+class _Ranker:
+    """What both passes over caption chunks share: each query's best
+    relevant item, its screen thresholds and its running rank."""
+
+    def __init__(self, v_txt: np.ndarray, v_img: np.ndarray, owner: np.ndarray):
+        self.v_txt, self.v_img, self.owner = v_txt, v_img, owner
+        n_caps, n_imgs = len(v_txt), len(v_img)
+        cap_best = np.empty(n_caps)
+        rows = penalty_round_rows(v_txt)
+        for lo in range(0, n_caps, rows):
+            r = slice(lo, lo + rows)
+            cap_best[r] = paired_order_penalty(v_txt[r], v_img[owner[r]])
+        img_best = np.full(n_imgs, np.inf)
+        np.minimum.at(img_best, owner, cap_best)
+        holders = np.flatnonzero(cap_best == img_best[owner])
+        img_first = np.full(n_imgs, n_caps)
+        np.minimum.at(img_first, owner[holders], holders)
+        self.cap_best, self.img_best, self.img_first = cap_best, img_best, img_first
+        self.s_ranks = np.ones(n_imgs, dtype=np.int64)
+        self.i_ranks = np.ones(n_caps, dtype=np.int64)
+
+    def set_thresholds(self) -> None:
+        """Each caption's and each image's float32 screen thresholds."""
+        j = self.v_txt.shape[1]
+        n_txt, n_img = (np.sqrt(np.vecdot(v, v)) for v in (self.v_txt, self.v_img))
+        k, f_cap = screen_bound(j, n_txt + n_img.max(initial=0.0))
+        _, f_img = screen_bound(j, n_img + n_txt.max(initial=0.0))
+        self.cap_lo, self.cap_hi = _thresholds(self.cap_best, k, f_cap)
+        self.img_lo, self.img_hi = _thresholds(self.img_best, k, f_img)
+
+    def count_slab(self, lo: int, hi: int) -> None:
+        """Count captions lo..hi, at most one pool round, on their float64 slab."""
+        slab = pairwise_order_penalty(self.v_txt[lo:hi], self.v_img)  # (rows, n_imgs)
+        self.i_ranks[lo:hi] += count_ahead(slab, self.cap_best[lo:hi], self.owner[lo:hi])
+        self.s_ranks += count_ahead(slab.T, self.img_best, self.img_first, lo)
+
+    def count_screened(self, p: np.ndarray, start: int) -> int:
+        """Count the captions of the float32 chunk p, whose rows are captions
+        start, start + 1, ..., one piece at a time. Returns the rows counted:
+        all of them, or those before the first piece in which more than
+        DENSE of the pairs lie between a threshold pair."""
+        n, m = p.shape
+        step = max(1, SCREEN_PIECE // m)
+        below, cap_decided, img_decided = np.empty((3, min(step, n), m), dtype=bool)
+        for lo in range(0, n, step):
+            q = p[lo:lo + step]
+            r = slice(start + lo, start + lo + len(q))
+            b, c, i = below[:len(q)], cap_decided[:len(q)], img_decided[:len(q)]
+            cap_lo, cap_hi = self.cap_lo[r, None], self.cap_hi[r, None]
+            np.less(q, cap_lo, out=b)
+            cap_ahead = np.count_nonzero(b, axis=1)
+            np.greater(q, cap_hi, out=c)
+            c |= b
+            np.less(q, self.img_lo, out=b)
+            img_ahead = np.count_nonzero(b, axis=0)
+            np.greater(q, self.img_hi, out=i)
+            i |= b
+            np.logical_not(c & i, out=c)  # undecided in either direction
+            undecided = np.flatnonzero(c)
+            if undecided.size > DENSE * q.size:
+                return lo
+            self.i_ranks[r] += cap_ahead
+            self.s_ranks += img_ahead
+            self._recheck(r.start + undecided // m, undecided % m, q.ravel()[undecided])
+        return n
+
+    def _recheck(self, caps: np.ndarray, imgs: np.ndarray, p32: np.ndarray) -> None:
+        """Count the pairs (caps, imgs) by their float64 penalties, in place
+        of what their float32 ones p32 counted. The pieces' gathered rows are
+        one order_penalty block each."""
+        piece = penalty_block_rows(self.v_txt)
+        for lo in range(0, len(caps), piece):
+            c, i, p = caps[lo:lo + piece], imgs[lo:lo + piece], p32[lo:lo + piece]
+            pen = paired_order_penalty(self.v_txt[c], self.v_img[i])
+            cap_best, img_best = self.cap_best[c], self.img_best[i]
+            cap = (pen < cap_best) | ((pen == cap_best) & (i < self.owner[c]))
+            img = (pen < img_best) | ((pen == img_best) & (c < self.img_first[i]))
+            np.add.at(self.i_ranks, c, cap.astype(np.int64) - (p < self.cap_lo[c]))
+            np.add.at(self.s_ranks, i, img.astype(np.int64) - (p < self.img_lo[i]))
+
+
 def retrieval_ranks(v_txt: np.ndarray, v_img: np.ndarray,
                     cap_owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best ranks for both directions from embedding matrices, streamed over
@@ -145,28 +304,23 @@ def retrieval_ranks(v_txt: np.ndarray, v_img: np.ndarray,
         if not finite.all():
             raise ValueError(f"{side} embedding row {int(np.argmin(finite))} "
                              f"is not finite")
-    n_caps, n_imgs = len(v_txt), len(v_img)
-    owner = _caption_owners(cap_owner, n_caps, n_imgs)
+    n_caps = len(v_txt)
+    ranker = _Ranker(v_txt, v_img, _caption_owners(cap_owner, n_caps, len(v_img)))
+    screen = _screens(v_txt, v_img)
+    if screen:
+        ranker.set_thresholds()
+        y32 = v_img.astype(np.float32)
     rows = penalty_round_rows(v_txt)
-    chunks = [slice(lo, lo + rows) for lo in range(0, n_caps, rows)]
-
-    cap_best = np.empty(n_caps)
-    for r in chunks:
-        cap_best[r] = paired_order_penalty(v_txt[r], v_img[owner[r]])
-    img_best = np.full(n_imgs, np.inf)
-    np.minimum.at(img_best, owner, cap_best)
-    holders = np.flatnonzero(cap_best == img_best[owner])
-    img_first = np.full(n_imgs, n_caps)
-    np.minimum.at(img_first, owner[holders], holders)
-
-    s_ranks = np.ones(n_imgs, dtype=np.int64)
-    i_ranks = np.ones(n_caps, dtype=np.int64)
-    for r in chunks:
-        slab = pairwise_order_penalty(v_txt[r], v_img)  # (chunk, n_imgs)
-        i_ranks[r] += count_ahead(slab, cap_best[r], owner[r])
-        s_ranks += count_ahead(slab.T, img_best, img_first, r.start)
-        del slab  # before the next one is formed
-    return s_ranks, i_ranks
+    for lo in range(0, n_caps, rows):
+        hi = min(lo + rows, n_caps)
+        done = 0
+        if screen:
+            p = pairwise_order_penalty(v_txt[lo:hi].astype(np.float32), y32)
+            done = ranker.count_screened(p, lo)
+            del p  # before any float64 slab is formed
+        if lo + done < hi:
+            ranker.count_slab(lo + done, hi)
+    return ranker.s_ranks, ranker.i_ranks
 
 
 def encode_corpus(records, features, vocab: Vocabulary, params: ModelParams,

@@ -20,6 +20,7 @@ off the diagonal, which autodiff's hinge op forms as one node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import autodiff as ad
@@ -31,8 +32,9 @@ class LossConfig:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        # NaN and +inf pass a bare `alpha < 0`, and the loss would then be nan or inf
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
 
 def batch_loss(v_txt: Tensor, v_img: Tensor, cfg: LossConfig) -> Tensor:

@@ -382,6 +382,43 @@ class TestBlockedKernels:
         run = lambda: ad.order_penalty(Tensor.const(x), Tensor.const(y)).data
         assert np.array_equal(pool.submit(run).result(), want) and submitted == []
 
+    def test_float32_penalty_runs_the_same_blocks_on_the_pool(self, monkeypatch):
+        # a float32 block holds the rows of a float64 one, and its bits do
+        # not depend on the blocking either
+        rng = np.random.default_rng(22)
+        x = rng.uniform(0, 1, (11, 5)).astype(np.float32)
+        y = rng.uniform(0, 1, (7, 5)).astype(np.float32)
+        want = ad.pairwise_order_penalty(x, y)
+        submitted = []
+        pool = ad._POOL
+
+        class CountingPool:
+            def submit(self, fn, *args):
+                submitted.append(args[0].shape[0])
+                return pool.submit(fn, *args)
+
+        monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", 4 * 5 * 8)
+        monkeypatch.setattr(ad, "_POOL", CountingPool())
+        got = ad.pairwise_order_penalty(x, y)
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+        assert submitted == [3, 4, 4]
+
+    def test_penalty_dtype_follows_the_inputs(self):
+        rng = np.random.default_rng(23)
+        x, y = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
+        want = ad.order_penalty(Tensor.const(x), Tensor.const(y)).data
+        x32, y32 = x.astype(np.float32), y.astype(np.float32)
+        # float64 anywhere gives the op's float64 matrix, bit for bit
+        for a, b in ((x, y), (x32, y), (x, y32), (x.tolist(), y.tolist())):
+            got = ad.pairwise_order_penalty(a, b)
+            op = ad.order_penalty(Tensor.const(a), Tensor.const(b)).data
+            assert got.dtype == np.float64 and np.array_equal(got, op)
+        got = ad.pairwise_order_penalty(x32, y32)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+        with pytest.raises(ad.ShapeError, match="expected \\(N,j\\) and \\(M,j\\)"):
+            ad.pairwise_order_penalty(x32, y32[:, :2])
+
     @pytest.mark.parametrize("block", [3, 4, 100])  # a 1-row block runs h @ u as gemv
     def test_blocked_tape_free_lstm_matches_taped(self, monkeypatch, block):
         rng = np.random.default_rng(22)

@@ -288,13 +288,15 @@ def full_matrix_ranks(v_txt, v_img, owner):
     return best_relevant_ranks(pen.T, owns.T), best_relevant_ranks(pen, owns)
 
 
-def slab_rows_spy(monkeypatch):
-    """Record the row count of every slab retrieval_ranks asks for."""
+def slab_rows_spy(monkeypatch, dtype=np.float32):
+    """Record the row count of every slab of `dtype` retrieval_ranks forms:
+    float32 for the chunks it screens, float64 for those it falls back on."""
     rows = []
     kernel = ev.pairwise_order_penalty
 
     def spy(x, y):
-        rows.append(len(x))
+        if x.dtype == dtype:
+            rows.append(len(x))
         return kernel(x, y)
     monkeypatch.setattr(ev, "pairwise_order_penalty", spy)
     return rows
@@ -402,3 +404,103 @@ class TestStreamedRanks:
         bad[1, 2], bad[2] = np.nan, np.inf
         with pytest.raises(ValueError, match=f"^{side} embedding row 1 is not finite$"):
             evaluate_embeddings(v_img, v_txt, np.arange(3), "full_5k")
+
+
+def bound_rows(kind, j, rng):
+    """(captions, images) of float64 rows for the screen bound's checks."""
+    x, y = rng.uniform(0, 1, (40, j)), rng.uniform(0, 1, (30, j))
+    if kind == "rounded":  # 2 dp: many exact ties and zero differences
+        x, y = np.round(x, 2), np.round(y, 2)
+    elif kind == "duplicated":  # repeated rows, and images equal to captions
+        x[20:30], y[:10], y[10:15] = x[:10], x[:10], y[15:20]
+    elif kind == "absorbing":  # leading ones absorb the tiny squares after them
+        x, y = np.zeros_like(x), np.full_like(y, 2.0 ** -12)
+        y[np.arange(j) < 1 + np.arange(len(y))[:, None] % 16] = 1.0
+    elif kind == "tiny":  # below float32's normal range
+        x, y = x * 2.0 ** -130, y * 2.0 ** -130
+    elif kind == "huge":
+        x, y = x * 2.0 ** 60, y * 2.0 ** 60
+    return x, y
+
+
+class TestScreenBound:
+    @pytest.mark.parametrize("j", [1, 3, 7, 256, 1024])
+    @pytest.mark.parametrize("kind", ["random", "rounded", "duplicated", "absorbing",
+                                      "tiny", "huge"])
+    def test_bound_holds_entry_by_entry(self, kind, j):
+        x, y = bound_rows(kind, j, np.random.default_rng(j))
+        p64 = pairwise_order_penalty(x, y)
+        p32 = pairwise_order_penalty(x.astype(np.float32), y.astype(np.float32))
+        assert p64.dtype == np.float64 and p32.dtype == np.float32
+        norms = np.linalg.norm(x, axis=1)[:, None] + np.linalg.norm(y, axis=1)[None, :]
+        k, f = ev.screen_bound(j, norms)
+        p32 = p32.astype(np.float64)
+        assert np.all(np.abs(p32 - p64) <= k * p32 + f)
+
+    def test_thresholds_round_outward(self):
+        best = np.array([0.0, 1e-45, 0.3, 1.0 / 3.0, 2.0 ** 100, 7.0])
+        lo, hi = ev._thresholds(best, 1e-5, np.full(best.shape, 1e-7))
+        assert lo.dtype == hi.dtype == np.float32
+        assert np.all(lo.astype(np.float64) < (best - 1e-7) / (1 + 1e-5))
+        assert np.all(hi.astype(np.float64) > (best + 1e-7) / (1 - 1e-5))
+
+
+class TestScreenedRanks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ranks_equal_full_matrix_on_tie_heavy_galleries(self, data):
+        # mostly a coarse grid of values, scaled so that some galleries
+        # underflow or overflow in float32 (and then are ranked in float64)
+        n_imgs = data.draw(st.integers(1, 8))
+        per = data.draw(st.lists(st.integers(1, 3), min_size=n_imgs, max_size=n_imgs))
+        j = data.draw(st.integers(1, 4))
+        scale = 2.0 ** data.draw(st.sampled_from([0, -130, -149, -160, 56, 60, 140]))
+        grid = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]) | st.floats(0, 3)
+        draw_rows = lambda n: np.array(data.draw(st.lists(
+            st.lists(grid, min_size=j, max_size=j), min_size=n, max_size=n))) * scale
+        v_img, v_txt = draw_rows(n_imgs), draw_rows(sum(per))
+        owner = np.random.default_rng(sum(per)).permutation(np.repeat(np.arange(n_imgs), per))
+        want_s, want_i = full_matrix_ranks(v_txt, v_img, owner)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "PENALTY_BLOCK_BYTES", 8 * j * data.draw(st.integers(1, 4)))
+            mp.setattr(ev, "SCREEN_PIECE", data.draw(st.integers(1, 3 * n_imgs)))
+            # a gallery this small is dense in undecided pairs; DENSE 1 screens it anyway
+            mp.setattr(ev, "DENSE", data.draw(st.sampled_from([ev.DENSE, 1.0])))
+            s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
+        np.testing.assert_array_equal(s_ranks, want_s)
+        np.testing.assert_array_equal(i_ranks, want_i)
+
+    def test_screen_decides_random_gallery_without_float64_slabs(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        n_imgs, j = 300, 16
+        v_img = rng.uniform(0, 1, (n_imgs, j))
+        v_txt = rng.uniform(0, 1, (3 * n_imgs, j))
+        owner = np.repeat(np.arange(n_imgs), 3)
+        want_s, want_i = full_matrix_ranks(v_txt, v_img, owner)
+        float64_rows = slab_rows_spy(monkeypatch, np.float64)
+        rechecked = []
+        paired = ev.paired_order_penalty
+        monkeypatch.setattr(ev, "paired_order_penalty",
+                            lambda x, y: rechecked.append(len(x)) or paired(x, y))
+        s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
+        np.testing.assert_array_equal(s_ranks, want_s)
+        np.testing.assert_array_equal(i_ranks, want_i)
+        assert float64_rows == []
+        # the relevant pass pairs every caption once; the rest is rechecks
+        assert 0 < sum(rechecked) - len(v_txt) < 0.01 * len(v_txt) * n_imgs
+
+    def test_collapsed_gallery_falls_back_to_float64(self, monkeypatch):
+        # every image row equal, as after a collapse: each caption's row of
+        # penalties is one value, so every pair lies between its thresholds
+        rng = np.random.default_rng(13)
+        n_imgs, j = 40, 8
+        v_img = np.tile(rng.uniform(0, 1, j), (n_imgs, 1))
+        v_txt = rng.uniform(0, 1, (3 * n_imgs, j))
+        owner = rng.permutation(np.repeat(np.arange(n_imgs), 3))
+        want_s, want_i = full_matrix_ranks(v_txt, v_img, owner)
+        float32_rows = slab_rows_spy(monkeypatch)
+        float64_rows = slab_rows_spy(monkeypatch, np.float64)
+        s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
+        np.testing.assert_array_equal(s_ranks, want_s)
+        np.testing.assert_array_equal(i_ranks, want_i)
+        assert sum(float32_rows) == sum(float64_rows) == len(v_txt)

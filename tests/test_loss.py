@@ -236,3 +236,9 @@ class TestBatchLoss:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LossConfig(alpha=-0.1)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_config_rejects_non_finite_alpha(self, alpha):
+        # a nan or inf margin would make the first step's loss non-finite
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            LossConfig(alpha=alpha)
