@@ -316,22 +316,21 @@ def pairwise_order_penalty(x_rows, y_rows) -> np.ndarray:
     otherwise it is the op's float64 matrix, bit for bit.
     """
     x, y = np.asarray(x_rows), np.asarray(y_rows)
-    if np.result_type(x, y) != np.float32:
-        return order_penalty(Tensor.const(x), Tensor.const(y)).data
+    dtype = np.float32 if np.result_type(x, y) == np.float32 else np.float64
+    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
     _check_order_penalty("pairwise_order_penalty", (x, y), {})
-    return _fw_order_penalty(x.astype(np.float32, copy=False),
-                             y.astype(np.float32, copy=False), {})
+    return _fw_order_penalty(x, y, {})
 
 
 def paired_order_penalty(x_rows, y_rows) -> np.ndarray:
     """Entry i = ||max(0, y_rows[i] - x_rows[i])||^2, bit-equal to the entry
     pairwise_order_penalty gives for the same two rows."""
-    x, y = Tensor.const(x_rows), Tensor.const(y_rows)
+    x, y = np.asarray(x_rows, dtype=np.float64), np.asarray(y_rows, dtype=np.float64)
     _check_order_penalty("paired_order_penalty", (x, y), {})
     if x.shape[0] != y.shape[0]:
         raise ShapeError(f"paired_order_penalty: {x.shape[0]} rows against {y.shape[0]}")
-    slab = np.empty_like(x.data)
-    return np.sum(np.square(_violations(y.data, x.data, slab), out=slab), axis=1)
+    slab = np.empty_like(x)
+    return np.sum(np.square(_violations(y, x, slab), out=slab), axis=1)
 
 
 def _bw_order_penalty(node, g):
@@ -491,7 +490,7 @@ def _check_elementwise2(kind, inputs, meta):
 
 
 def _check_order_penalty(kind, inputs, meta):
-    x, y = inputs  # tensors, or arrays for a float32 pairwise_order_penalty
+    x, y = inputs  # tensors on the op's path; arrays from the two untracked entry points
     if len(x.shape) != 2 or len(y.shape) != 2 or x.shape[1] != y.shape[1]:
         raise _shape_err(kind, inputs, "expected (N,j) and (M,j)")
 

@@ -78,6 +78,13 @@ class Metrics:
                 f"{self.med_r:7.1f}")
 
 
+def _ahead(penalty, index, best, first):
+    """Whether a gallery item at `index` with `penalty` ranks ahead of the
+    relevant item at `first` with `best`: a lower penalty, or an equal one at
+    a lower gallery index. Broadcasts like a comparison."""
+    return (penalty < best) | ((penalty == best) & (index < first))
+
+
 def count_ahead(penalties: np.ndarray, best: np.ndarray, first: np.ndarray,
                 start: int = 0) -> np.ndarray:
     """Per query row: the gallery items ranked ahead of its best relevant one.
@@ -87,10 +94,8 @@ def count_ahead(penalties: np.ndarray, best: np.ndarray, first: np.ndarray,
     of its best relevant item. The counts over the parts of a gallery, plus
     one, give the rank stated in the module docstring.
     """
-    best = best[:, None]
     index = np.arange(start, start + penalties.shape[1])
-    return (np.sum(penalties < best, axis=1)
-            + np.sum((penalties == best) & (index < first[:, None]), axis=1))
+    return np.sum(_ahead(penalties, index, best[:, None], first[:, None]), axis=1)
 
 
 def recall_at_k(best_ranks, k: int) -> float:
@@ -277,9 +282,8 @@ class _Ranker:
         for lo in range(0, len(caps), piece):
             c, i, p = caps[lo:lo + piece], imgs[lo:lo + piece], p32[lo:lo + piece]
             pen = paired_order_penalty(self.v_txt[c], self.v_img[i])
-            cap_best, img_best = self.cap_best[c], self.img_best[i]
-            cap = (pen < cap_best) | ((pen == cap_best) & (i < self.owner[c]))
-            img = (pen < img_best) | ((pen == img_best) & (c < self.img_first[i]))
+            cap = _ahead(pen, i, self.cap_best[c], self.owner[c])
+            img = _ahead(pen, c, self.img_best[i], self.img_first[i])
             np.add.at(self.i_ranks, c, cap.astype(np.int64) - (p < self.cap_lo[c]))
             np.add.at(self.s_ranks, i, img.astype(np.int64) - (p < self.img_lo[i]))
 

@@ -14,6 +14,10 @@ rectifier between them, then absolute value.
 All functions accept a batch of row vectors and a parameter dict from
 ModelParams.as_tracked: as_tracked(None) for inference (constants, no graph
 is recorded) or as_tracked(tape) to make the result differentiable.
+
+ModelParams.init draws every weight at random. Pretrained word vectors, as
+io.load_word_vectors builds them, go in as the "embedding" tensor of the
+ModelParams constructor, which checks every tensor's shape and finiteness.
 """
 
 from __future__ import annotations
@@ -85,25 +89,11 @@ class ModelParams:
         self.tensors = {n: np.asarray(tensors[n], dtype=np.float64) for n in expected}
 
     @classmethod
-    def init(cls, dims: ModelDims, rng: np.random.Generator,
-             embedding: np.ndarray | None = None) -> "ModelParams":
-        """Uniform [-INIT_SCALE, INIT_SCALE] weights, forget bias 1, zero padding row.
-
-        An embedding matrix (e.g. from word vectors) replaces the random one
-        when given; its shape must match (d+1, e).
-        """
-        shapes = param_shapes(dims)
+    def init(cls, dims: ModelDims, rng: np.random.Generator) -> "ModelParams":
+        """Uniform [-INIT_SCALE, INIT_SCALE] weights, forget bias 1, zero padding row."""
         tensors = {name: rng.uniform(-INIT_SCALE, INIT_SCALE, s)
-                   for name, s in shapes.items()}
-        if embedding is not None:
-            emb = np.asarray(embedding, dtype=np.float64)
-            if emb.shape != shapes["embedding"]:
-                raise ValueError(
-                    f"embedding shape {emb.shape}, want {shapes['embedding']}"
-                )
-            tensors["embedding"] = emb.copy()
-        else:
-            tensors["embedding"][0] = 0.0
+                   for name, s in param_shapes(dims).items()}
+        tensors["embedding"][0] = 0.0
         np.split(tensors["lstm.b"], 4, axis=1)[GATES.index("f")][:] = 1.0  # forget bias 1
         return cls(dims, tensors)
 

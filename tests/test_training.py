@@ -117,7 +117,7 @@ class TestAdam:
 
 class TestSchedule:
     def test_improving_forever_never_acts(self):
-        s = ScheduleState()
+        s = ScheduleState(lr=0.1)
         for i in range(50):
             assert schedule_update(s, 100.0 - i, 0.1) == "none"
         assert s.lr == 0.1 and s.batch_size == 16
@@ -130,7 +130,7 @@ class TestSchedule:
         assert first_below == 20
 
         monkeypatch.setattr(training, "PATIENCE", 1)
-        s = ScheduleState()
+        s = ScheduleState(lr=0.1)
         assert schedule_update(s, 1.0, 0.1) == "none"  # first epoch sets the baseline
         actions = []
         for _ in range(first_below):
@@ -141,7 +141,7 @@ class TestSchedule:
         assert s.lr == 0.1
         assert s.grow_cycles == 1
         # lr trajectory checked against the closed form at the crossing
-        s2 = ScheduleState()
+        s2 = ScheduleState(lr=0.1)
         schedule_update(s2, 1.0, 0.1)
         for k in range(1, first_below):
             schedule_update(s2, 1.0, 0.1)
@@ -223,7 +223,7 @@ def small_training_setup():
                      feature_dim=6)
     cfg = TrainConfig(
         dims=dims, loss=LossConfig(alpha=0.05), seq_len=6, seed=3,
-        batch_size=4, max_epochs=8, max_grow_cycles=2)
+        batch_size=4, max_epochs=8)
     data = TrainingData(records, table, vocab, records)
     return data, cfg
 
@@ -388,7 +388,7 @@ class TestCheckpointResume:
     def test_resume_twice_from_one_checkpoint_object(self, small_training_setup):
         # adam_step updates the moments in place, so restore must not alias them
         data, cfg = small_training_setup
-        quick = replace(cfg, max_epochs=2, stop_when_perfect=False)
+        quick = replace(cfg, max_epochs=2)
         params = ModelParams.init(cfg.dims, np.random.default_rng(11))
         result = train(data, params, quick)
         ck = training.checkpoint_tensors(result.params, result.adam, result.schedule)
@@ -440,11 +440,11 @@ class TestCheckpointResume:
         data, cfg = small_training_setup
         from dataclasses import replace
         params = ModelParams.init(cfg.dims, np.random.default_rng(11))
-        result = train(data, params, replace(cfg, max_epochs=2, stop_when_perfect=False))
+        result = train(data, params, replace(cfg, max_epochs=2))
         p = tmp_path / "ckpt.bin"
         save_training_checkpoint(p, result.params, result.adam, result.schedule)
         ck = load_checkpoint(p)
-        more = resume_train(data, ck, replace(cfg, max_epochs=4, stop_when_perfect=False))
+        more = resume_train(data, ck, replace(cfg, max_epochs=4))
         assert len(more.log) == 2
         assert more.adam.t > result.adam.t
 
@@ -476,8 +476,7 @@ class TestCheckpointResume:
     def test_corrupt_adam_moment_rejected(self, small_training_setup, tmp_path,
                                           moment, value):
         data, cfg = small_training_setup
-        one_batch = replace(cfg, max_epochs=1, batch_size=len(data.records),
-                            stop_when_perfect=False)
+        one_batch = replace(cfg, max_epochs=1, batch_size=len(data.records))
         params = ModelParams.init(cfg.dims, np.random.default_rng(11))
         result = train(data, params, one_batch)
         ck = training.checkpoint_tensors(result.params, result.adam, result.schedule)
@@ -516,7 +515,7 @@ class TestCheckpointResume:
     def test_resume_is_the_uninterrupted_run(self, small_training_setup, tmp_path,
                                              batch_size):
         data, cfg = small_training_setup
-        cfg = replace(cfg, max_epochs=4, stop_when_perfect=False, batch_size=batch_size)
+        cfg = replace(cfg, max_epochs=4, batch_size=batch_size)
         straight = self._split_run(data, cfg, 2, tmp_path)
         assert [e["epoch"] for e in straight.log] == [1, 2, 3, 4]
 
@@ -524,16 +523,16 @@ class TestCheckpointResume:
                                             monkeypatch):
         # at this rate halving would cross LR_FLOOR, so every plateau grows the batch
         monkeypatch.setattr(training, "PATIENCE", 1)
+        monkeypatch.setattr(training, "MAX_GROW_CYCLES", 9)
         data, cfg = small_training_setup
-        cfg = replace(cfg, max_epochs=6, stop_when_perfect=False, batch_size=2,
-                      lr_init=1.5e-7, max_grow_cycles=9)
+        cfg = replace(cfg, max_epochs=6, batch_size=2, lr_init=1.5e-7)
         straight = self._split_run(data, cfg, 3, tmp_path)
         assert [e["batch_size"] for e in straight.log] == [2, 2, 4, 8, 16, 32]
 
     def test_resuming_a_finished_run_runs_no_epoch(self, small_training_setup, tmp_path,
                                                    monkeypatch):
         data, cfg = small_training_setup
-        cfg = replace(cfg, max_epochs=2, stop_when_perfect=False)
+        cfg = replace(cfg, max_epochs=2)
         params = ModelParams.init(cfg.dims, np.random.default_rng(11))
         result = train(data, params, cfg)
         p = tmp_path / "ckpt.bin"
@@ -559,26 +558,12 @@ class TestCheckpointResume:
         assert straight.stop_reason == "perfect_fit" and straight.schedule.perfect_fit == 1
         assert straight.log[-1]["epoch"] < 90
 
-    def test_perfect_fit_is_recorded_without_stopping(self, small_training_setup):
-        # the flag is state, not a stop: a run that may not stop on a perfect
-        # fit records it too, and a resume that may stop there does
-        data, cfg = small_training_setup
-        cfg = replace(cfg, lr_init=0.01, batch_size=len(data.records), max_epochs=100)
-        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
-        stops = train(data, params, cfg)
-        runs_on = train(data, params, replace(cfg, stop_when_perfect=False,
-                                              max_epochs=stops.log[-1]["epoch"]))
-        assert runs_on.stop_reason == "max_epochs" and runs_on.schedule == stops.schedule
-        ck = training.checkpoint_tensors(runs_on.params, runs_on.adam, runs_on.schedule)
-        again = resume_train(data, ck, cfg)
-        assert again.log == [] and again.stop_reason == "perfect_fit"
-
     @staticmethod
     def _growing(cfg, monkeypatch, max_grow_cycles):
         # at this rate halving would cross LR_FLOOR, so every plateau grows the batch
         monkeypatch.setattr(training, "PATIENCE", 1)
-        return replace(cfg, stop_when_perfect=False, batch_size=2, lr_init=1.5e-7,
-                       max_grow_cycles=max_grow_cycles)
+        monkeypatch.setattr(training, "MAX_GROW_CYCLES", max_grow_cycles)
+        return replace(cfg, batch_size=2, lr_init=1.5e-7)
 
     def test_resuming_after_max_grow_cycles_runs_no_epoch(self, small_training_setup,
                                                           tmp_path, monkeypatch):
@@ -698,10 +683,11 @@ class TestGridSearch:
         assert len(results) == 1
         assert best.loss.alpha == 0.05
 
-    def test_dead_lr_config_loses(self, small_training_setup):
+    def test_dead_lr_config_loses(self, small_training_setup, monkeypatch):
+        monkeypatch.setattr(training, "MAX_GROW_CYCLES", 1)
         data, cfg = small_training_setup
         from dataclasses import replace
-        quick = replace(cfg, max_epochs=6, max_grow_cycles=1)
+        quick = replace(cfg, max_epochs=6)
         best, results = grid_search({"lr_init": [0.0, 0.02]}, data, quick)
         assert best.lr_init == 0.02
         scores = {r["lr_init"]: r["score"] for r in results}
