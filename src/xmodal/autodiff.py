@@ -6,7 +6,7 @@ emptying it.
 Tensors are treated as immutable; callers must not mutate arrays after
 handing them in.
 
-Primitive op kinds (a mean is a matmul with a constant column of 1/n):
+Primitive op kinds (add's second operand may be a (1, n) bias row):
 
     matmul, add, relu_zero_floor, abs, sum, order_penalty, lstm, hinge
 
@@ -49,14 +49,14 @@ GIL inside ufuncs; a training batch is one block and runs on the calling
 thread, as does any call from one of the pool's own workers, which could
 otherwise wait on the pool it occupies. Every entry is computed the same way
 whatever the blocking, so the bits do not depend on it. The output dtype
-follows the inputs. float64, the op's dtype, sums each row's squares with
-np.sum(np.square(v), axis=1), the kernel and bits the loss and the paired
-pass share. float32 rows, which only pairwise_order_penalty takes, give a
-float32 matrix through the same blocks and pool, with each row's reduction
-fused into np.vecdot(v, v); a float32 block keeps the float64 row count, so
-its X rows and slab together take what one float64 slab does.
-paired_order_penalty computes the float64 penalty of row i of X against row
-i of Y the same way, so it equals the matrix's (i, i) entry bit for bit.
+follows the inputs: float64, the op's own, or float32, which only
+pairwise_order_penalty takes, through the same blocks and pool; a float32
+block keeps the float64 row count, so its X rows and slab together take
+what one float64 slab does. One kernel, _row_penalties, forms every
+penalty of either dtype: max(0, y - X) in a slab, each row of which
+np.vecdot(v, v) reduces. paired_order_penalty (row i of X against row i of
+Y) calls it on the rows side by side; a row's dot product does not depend
+on where the row sits, so it equals the matrix's (i, i) entry bit for bit.
 The backward loops over the rows of Y against the whole of X. All three
 form max(0, Y[k] - X) with _violations, in one slab reused for every k.
 
@@ -232,7 +232,8 @@ def _fw_add(a, b, meta):
 
 
 def _bw_add(node, g):
-    return (g, g)
+    b = node.inputs[1]  # a bias row gets the sum of g's rows, as one GEMM
+    return (g, g if b.shape == g.shape else np.ones((1, g.shape[0])) @ g)
 
 
 def _fw_relu(x, meta):
@@ -289,12 +290,16 @@ def _violations(y, x, slab):
     return np.maximum(np.subtract(y, x, out=slab), 0.0, out=slab)
 
 
+def _row_penalties(y, x, slab):
+    """||max(0, y - x)||^2 of each row of x: the one order-penalty kernel."""
+    v = _violations(y, x, slab)
+    return np.vecdot(v, v)
+
+
 def _order_penalty_rows(x, y, out):
     slab = np.empty_like(x)  # reused for every k instead of fresh temporaries
-    fused = x.dtype == np.float32
     for k in range(y.shape[0]):
-        v = _violations(y[k], x, slab)
-        out[:, k] = np.vecdot(v, v) if fused else np.sum(np.square(v, out=v), axis=1)
+        out[:, k] = _row_penalties(y[k], x, slab)
 
 
 def _fw_order_penalty(x, y, meta):
@@ -311,9 +316,8 @@ def pairwise_order_penalty(x_rows, y_rows) -> np.ndarray:
     """Penalty matrix, entry (i, k) = ||max(0, y_rows[k] - x_rows[i])||^2:
     the order_penalty op on untracked arrays.
 
-    Its dtype follows the inputs'. Where they promote to float32, the matrix
-    is float32, formed by the op's forward with the fused row reduction;
-    otherwise it is the op's float64 matrix, bit for bit.
+    Its dtype follows the inputs': float32 where they promote to float32,
+    otherwise float64, the op's own matrix bit for bit.
     """
     x, y = np.asarray(x_rows), np.asarray(y_rows)
     dtype = np.float32 if np.result_type(x, y) == np.float32 else np.float64
@@ -329,8 +333,7 @@ def paired_order_penalty(x_rows, y_rows) -> np.ndarray:
     _check_order_penalty("paired_order_penalty", (x, y), {})
     if x.shape[0] != y.shape[0]:
         raise ShapeError(f"paired_order_penalty: {x.shape[0]} rows against {y.shape[0]}")
-    slab = np.empty_like(x)
-    return np.sum(np.square(_violations(y, x, slab), out=slab), axis=1)
+    return _row_penalties(y, x, np.empty_like(x))
 
 
 def _bw_order_penalty(node, g):
@@ -483,10 +486,10 @@ def _check_matmul(kind, inputs, meta):
         raise _shape_err(kind, inputs, "expected (a,b) @ (b,c)")
 
 
-def _check_elementwise2(kind, inputs, meta):
+def _check_add(kind, inputs, meta):
     a, b = inputs
-    if a.shape != b.shape:
-        raise _shape_err(kind, inputs, "equal shapes required")
+    if a.shape != b.shape and not (a.data.ndim == 2 and b.shape == (1, a.shape[1])):
+        raise _shape_err(kind, inputs, "equal shapes, or a (1,n) row added to (B,n), required")
 
 
 def _check_order_penalty(kind, inputs, meta):
@@ -523,7 +526,7 @@ def _check_lstm(kind, inputs, meta):
 # kind -> (arity, shape check, forward, backward)
 OP_TABLE: dict[str, tuple] = {
     "matmul": (2, _check_matmul, _fw_matmul, _bw_matmul),
-    "add": (2, _check_elementwise2, _fw_add, _bw_add),
+    "add": (2, _check_add, _fw_add, _bw_add),
     "relu_zero_floor": (1, _check_any, _fw_relu, _bw_relu),
     "abs": (1, _check_any, _fw_abs, _bw_abs),
     "sum": (1, _check_any, _fw_sum, _bw_sum),

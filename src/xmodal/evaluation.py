@@ -171,8 +171,10 @@ def screen_bound(j: int, norm_sum) -> tuple[float, np.ndarray]:
     - Cross term: ||v||^2 - P = 2<v, d> - ||d||^2 for d = v - max(0, y - x),
       and 2 |<v, d>| <= KAPPA ||v||^2 + D^2 / KAPPA, so
       |||v||^2 - P| <= KAPPA ||v||^2 + (1 + 1/KAPPA) D^2.
-    - float64: one rounding of the difference, one of its square and j - 1
-      additions give |P64 - P| <= g64(j + 2) P + j 2^-1072.
+    - float64, the same np.vecdot kernel: rounding the difference gives each
+      square a factor (1 + delta)^2 with |delta| <= u64, and a dot product of
+      j terms, in any order and with or without fused multiply-adds, one
+      within g64(j) of 1, so |P64 - P| <= g64(j + 2) P + j 2^-1072.
 
     Adding them, with ||v||^2 <= (P32 + j 2^-148) / (1 - gamma_j):
     K = (gamma_j + KAPPA + g64(j + 2)(1 + KAPPA)) / (1 - gamma_j) and

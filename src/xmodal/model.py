@@ -9,7 +9,8 @@ them, the gates side by side in GATES order. The LSTM hidden size equals
 the joint dimension, so the text branch needs no projection.
 
 Image: two affine layers on a precomputed feature vector with a zero-floor
-rectifier between them, then absolute value.
+rectifier between them, then absolute value. The `add` op adds each layer's
+(1, j) bias row to every row of the batch, so the branch is six tape nodes.
 
 All functions accept a batch of row vectors and a parameter dict from
 ModelParams.as_tracked: as_tracked(None) for inference (constants, no graph
@@ -104,11 +105,6 @@ class ModelParams:
         return {n: tape.leaf(a) for n, a in self.tensors.items()}
 
 
-def _bias_rows(bias: Tensor, n: int) -> Tensor:
-    """Broadcast a (1, h) bias to n rows via ones @ bias."""
-    return ad.matmul(Tensor.const(np.ones((n, 1))), bias)
-
-
 def encode_text_batch(token_ids: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     """Encode (B, L) padded index rows to (B, j) non-negative embeddings.
 
@@ -128,8 +124,6 @@ def encode_image_batch(feats: np.ndarray, p: dict[str, Tensor]) -> Tensor:
         raise ad.ShapeError(
             f"encode_image_batch: features {x.shape} do not match w1 {p['image.w1'].shape}"
         )
-    n = x.shape[0]
-    hidden = ad.relu(ad.add(ad.matmul(x, p["image.w1"]), _bias_rows(p["image.b1"], n)))
-    out = ad.add(ad.matmul(hidden, p["image.w2"]), _bias_rows(p["image.b2"], n))
-    return ad.absolute(out)
+    hidden = ad.relu(ad.add(ad.matmul(x, p["image.w1"]), p["image.b1"]))
+    return ad.absolute(ad.add(ad.matmul(hidden, p["image.w2"]), p["image.b2"]))
 

@@ -83,6 +83,11 @@ class TestForwardValues:
             ad.matmul(a, b)
         with pytest.raises(ShapeError, match="add"):
             ad.add(a, b)
+        row = Tensor.const(np.zeros((1, 3)))
+        with pytest.raises(ShapeError, match=r"add.*\(1, 3\).*\(2, 3\)"):
+            ad.add(row, a)  # only the second operand may be a bias row
+        with pytest.raises(ShapeError, match=r"add.*\(2, 3\).*\(1, 4\)"):
+            ad.add(a, Tensor.const(np.zeros((1, 4))))
         with pytest.raises(ShapeError, match=r"order_penalty.*\(2, 3\).*\(4, 5\)"):
             ad.order_penalty(a, b)
         with pytest.raises(ShapeError, match=r"hinge.*\(2, 3\).*square"):
@@ -636,6 +641,14 @@ def test_primitive_gradients_match_finite_differences(kind):
     for _ in range(10):
         point = _op_point(kind, rng)
         assert finite_diff_check(builder, point, FD_STEP) < FD_TOL
+
+
+def test_add_of_a_bias_row_matches_finite_differences():
+    rng = np.random.default_rng(43)
+    build = lambda a, b: rank_one_probe(ad.add(a, b))
+    for _ in range(10):
+        point = [rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
+        assert finite_diff_check(build, point, FD_STEP) < FD_TOL
 
 
 def test_random_graphs_match_finite_differences():

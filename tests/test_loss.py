@@ -91,19 +91,24 @@ class TestPairwise:
         S = -pairwise_order_penalty(rng.uniform(0, 1, (5, 4)), rng.uniform(0, 1, (5, 4)))
         assert np.all(S <= 0)
 
-    @pytest.mark.parametrize("j", [1, 7, 256])
+    @pytest.mark.parametrize("j", [1, 3, 7, 256, 1024])
     def test_paired_equals_matrix_entries_bitwise(self, j):
         # row chunks gathered the way retrieval_ranks' relevant pass does; at
-        # j=256 the 600-row matrix spans two pooled blocks
+        # j=256 and 1024 the 600-row matrix spans several pooled blocks. Both
+        # reduce rows with np.vecdot, which may call BLAS ddot: its bits must
+        # not depend on a row's address, block or pool thread, so chunks also
+        # start at odd offsets and are passed as slices of the whole arrays
         rng = np.random.default_rng(j)
         X = rng.uniform(0, 2, (600, j))
         Y = rng.uniform(0, 2, (11, j))
         owner = rng.integers(0, 11, 600)
         want = pairwise_order_penalty(X, Y)[np.arange(600), owner]
-        for size in (1, 7, 512, 600):
-            got = np.concatenate([paired_order_penalty(X[lo:lo + size], Y[owner[lo:lo + size]])
-                                  for lo in range(0, 600, size)])
-            assert np.array_equal(got, want)
+        Yo = Y[owner]
+        for start in (0, 1, 3):
+            for size in (1, 7, 512, 600):
+                got = np.concatenate([paired_order_penalty(X[lo:lo + size], Yo[lo:lo + size])
+                                      for lo in range(start, 600, size)])
+                assert np.array_equal(got, want[start:])
 
     def test_paired_rejects_unmatched_rows(self):
         with pytest.raises(ShapeError, match="3 rows against 2"):

@@ -191,6 +191,20 @@ class TestEncodeImage:
         out = model.encode_image_batch(f[None], params.as_tracked(None)).data[0]
         np.testing.assert_allclose(out, [4.5, 11.5], atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 2, 16])
+    def test_records_six_tape_nodes(self, batch):
+        # each bias row goes into add as it is: no ones column, no matmul for it
+        rng = np.random.default_rng(10)
+        tape = Tape()
+        p = ModelParams.init(TEST_DIMS, rng).as_tracked(tape)
+        before = len(tape.nodes)
+        model.encode_image_batch(rng.normal(size=(batch, 12)), p)
+        nodes = tape.nodes[before:]
+        assert [n.kind for n in nodes] == ["matmul", "add", "relu_zero_floor",
+                                           "matmul", "add", "abs"]
+        assert [nodes[k].inputs[1].node_id for k in (1, 4)] == [
+            p["image.b1"].node_id, p["image.b2"].node_id]
+
     def test_feature_dim_mismatch_rejected(self):
         params = zero_params(TEST_DIMS)
         with pytest.raises(ShapeError):
