@@ -13,9 +13,11 @@ Primitive op kinds (add's second operand may be a (1, n) bias row):
 lstm(E, W, U, b, ids) is a whole single-layer LSTM as one node: E is the
 embedding, meta["ids"] the (B, L) token rows, and W (e, 4h), U (h, 4h) and
 b (1, 4h) hold the gates side by side in GATES order. The input projection
-E[t] @ W is formed once per distinct token t in ids, as one GEMM; step t
-gathers its rows of it into a (B, 4h) gate buffer through the inverse index,
-adds h @ U and b there, and activates each gate's column block in place.
+E[t] @ W + b is formed once per distinct token t in ids, as one GEMM and
+one in-place add of b; step t gathers its rows of it into a (B, 4h) gate
+buffer through the inverse index and adds h @ U there. One tanh pass over
+the buffer activates every gate: g directly, and i, f and o as
+sigmoid(x) = (1 + tanh(x / 2)) / 2, halved before it and shifted after.
 The scan returns the last h. It runs in blocks of at most LSTM_BLOCK
 captions, so its per-step buffers stay in cache. A tape-free forward keeps
 only the current (h, c) and one gate buffer per block. A tape-free scan of
@@ -376,22 +378,14 @@ def _bw_hinge(node, g):
     return (dp,)
 
 
-def _fw_sigmoid(x, out=None):
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never overflows.
-    ex = np.abs(x)
-    np.exp(np.negative(ex, out=ex), out=ex)
-    num = np.maximum(ex, x >= 0)  # 1 where x >= 0, since e^-|x| <= 1 there
-    return np.divide(num, np.add(ex, 1.0, out=ex), out=out)
-
-
-def _lstm_steps(xw, u, b, inv, gates=None):
+def _lstm_steps(xw, u, inv, gates=None):
     """Yield each step's new state (c, h), starting from zero state.
 
-    Step t gathers the rows inv[:, t] of the input projections `xw` into
-    its gate buffer, adds h @ u and b there and activates each gate's
-    column block in place. The buffer is gates[t] of an (L, B, 4h) `gates`,
-    which then holds every step's activated gates i f g o, or else one
-    (B, 4h) array reused by every step.
+    Step t gathers the rows inv[:, t] of the input projections `xw`, which
+    hold the bias, into its gate buffer, adds h @ u there and activates the
+    buffer in place with one tanh. The buffer is gates[t] of an (L, B, 4h)
+    `gates`, which then holds every step's activated gates i f g o, or else
+    one (B, 4h) array reused by every step.
     """
     n, hid = inv.shape[0], u.shape[0]
     buf = np.empty((n, 4 * hid)) if gates is None else None
@@ -400,11 +394,14 @@ def _lstm_steps(xw, u, b, inv, gates=None):
         # inv is in range; mode="clip" lets take write into z unbuffered
         z = xw.take(inv[:, t], axis=0, out=buf if gates is None else gates[t], mode="clip")
         z += h @ u
-        z += b
+        ifo = z[:, :2 * hid], z[:, 3 * hid:]  # i and f side by side, then o
+        for s in ifo:
+            s *= 0.5
+        np.tanh(z, out=z)  # g, and sigmoid(x) = (1 + tanh(x / 2)) / 2 for the rest
+        for s in ifo:
+            s *= 0.5
+            s += 0.5
         i, f, g, o = np.split(z, 4, axis=1)
-        _fw_sigmoid(z[:, :2 * hid], out=z[:, :2 * hid])  # i and f, side by side
-        np.tanh(g, out=g)
-        _fw_sigmoid(o, out=o)
         c = f * c + i * g
         h = o * np.tanh(c)
         yield c, h
@@ -417,6 +414,7 @@ def _fw_lstm(emb, w, u, b, meta):
     # the input projection of each distinct token, and each position's row of it
     tokens, inv = np.unique(ids, return_inverse=True)
     xw, inv = emb[tokens] @ w, inv.reshape(ids.shape)
+    xw += b  # in place: no second (T, 4h) array
     saved = meta.get("saved")
     if saved is not None:  # recorded: step t starts from cells[t] and hiddens[t]
         saved.update(gates=np.empty((steps, n, 4 * hid)),
@@ -427,7 +425,7 @@ def _fw_lstm(emb, w, u, b, meta):
     def block(rows):
         gates = None if saved is None else saved["gates"][:, rows]
         h = out[rows]
-        for t, (c, h) in enumerate(_lstm_steps(xw, u, b, inv[rows], gates)):
+        for t, (c, h) in enumerate(_lstm_steps(xw, u, inv[rows], gates)):
             if saved is not None:
                 saved["cells"][t + 1, rows], saved["hiddens"][t + 1, rows] = c, h
         out[rows] = h

@@ -190,6 +190,15 @@ def load_dataset(path, features: FeatureTable | None = None) -> list[DatasetReco
     return records
 
 
+def check_feature_refs(records, features: FeatureTable) -> None:
+    """Raise DataFormatError naming the first record whose feature_ref is
+    missing from `features`."""
+    for rec in records:
+        if rec.feature_ref not in features:
+            raise DataFormatError(
+                f"record {rec.id!r} references unknown feature {rec.feature_ref!r}")
+
+
 def record_rows(records, features: FeatureTable, vocab: Vocabulary, seq_len: int,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Model inputs for `records`: (token_ids (N, L) int64, cap_owner (N,)
@@ -199,11 +208,9 @@ def record_rows(records, features: FeatureTable, vocab: Vocabulary, seq_len: int
     record's index, which is also its row of feats. A feature_ref missing
     from `features` raises DataFormatError naming the record.
     """
+    check_feature_refs(records, features)
     token_lists, owner = [], []
     for i, rec in enumerate(records):
-        if rec.feature_ref not in features:
-            raise DataFormatError(
-                f"record {rec.id!r} references unknown feature {rec.feature_ref!r}")
         token_lists += [normalize(cap) for cap in rec.captions]
         owner += [i] * len(rec.captions)
     return (encode(token_lists, vocab, seq_len), np.asarray(owner, dtype=np.int64),

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .evaluation import evaluate_records
-from .io import DataFormatError, FeatureTable, record_rows, save_checkpoint
+from .io import (DataFormatError, FeatureTable, check_feature_refs, record_rows,
+                 save_checkpoint)
 from .loss import LossConfig, batch_loss
 from .model import (ModelDims, ModelParams, encode_image_batch, encode_text_batch,
                     param_shapes)
@@ -179,6 +180,14 @@ class TrainConfig:
     batch_size: int = BATCH_INIT_DEFAULT
     max_epochs: int = 500
 
+    def __post_init__(self):
+        # NaN fails both comparisons, as in adam_step
+        if not 0 <= self.lr_init < np.inf:
+            raise ValueError(f"lr_init must be finite and >= 0, got {self.lr_init!r}")
+        for name, least in (("batch_size", 2), ("max_epochs", 1), ("seq_len", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+
 
 @dataclass
 class TrainingData:
@@ -294,8 +303,9 @@ def restore_training_state(tensors: dict[str, np.ndarray], cfg: TrainConfig,
     if not 0 <= schedule.lr < np.inf:
         raise DataFormatError(f"checkpoint tensor 'schedule.lr' holds {schedule.lr!r}, "
                               f"not a finite rate >= 0")
-    if np.isnan(schedule.best_loss):
-        raise DataFormatError("checkpoint tensor 'schedule.best_loss' holds nan")
+    if not schedule.best_loss >= 0:  # a sum of hinges; NaN fails too
+        raise DataFormatError(f"checkpoint tensor 'schedule.best_loss' holds "
+                              f"{schedule.best_loss!r}, not a loss >= 0")
     if schedule.perfect_fit > 1:
         raise DataFormatError(f"checkpoint tensor 'schedule.perfect_fit' holds "
                               f"{schedule.perfect_fit}, not 0 or 1")
@@ -315,8 +325,6 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
                       log_path) -> TrainResult:
     if schedule.batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {schedule.batch_size}")
-    if cfg.max_epochs < 1:
-        raise ValueError("max_epochs must be >= 1")
     # One feature row per record; a batch gathers its rows through owner.
     token_ids, owner, feats = record_rows(data.records, data.features, data.vocab,
                                           cfg.seq_len)
@@ -325,6 +333,7 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
         raise ValueError("need at least 2 training pairs to form negatives")
     if not data.val_records:
         raise ValueError("val_records is empty: nothing to evaluate after each epoch")
+    check_feature_refs(data.val_records, data.features)  # before an epoch, not after
     # adam_step updates this copy in place; the caller's parameters stay as they were
     params = ModelParams(params.dims, {n: a.copy() for n, a in params.tensors.items()})
 

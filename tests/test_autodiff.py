@@ -110,19 +110,39 @@ class TestForwardValues:
     def test_lstm_matches_per_gate_numpy_loop(self):
         rng = np.random.default_rng(13)
         params = _lstm_params(rng, vocab=7, e=4, h=5)
-        emb = params[0]
         ids = rng.integers(0, 7, size=(3, 6))
-        # gate k is the column block k of w, u and b
-        w, u, b = (dict(zip("ifgo", np.split(a, 4, axis=1))) for a in params[1:])
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-        h = c = np.zeros((3, 5))
-        for t in range(6):
-            x = emb[ids[:, t]]
-            z = {g: x @ w[g] + h @ u[g] + b[g] for g in "ifgo"}
-            c = sig(z["f"]) * c + sig(z["i"]) * np.tanh(z["g"])
-            h = sig(z["o"]) * np.tanh(c)
-        got = ad.lstm(*(Tensor.const(a) for a in params), ids)
-        np.testing.assert_allclose(got.data, h, rtol=0, atol=1e-14)
+        # the weights as drawn, and scaled so that preactivations reach about +-40
+        for scale in (1.0, 10.0):
+            emb, *wub = params[0], *(scale * a for a in params[1:])
+            # gate k is the column block k of w, u and b
+            w, u, b = (dict(zip("ifgo", np.split(a, 4, axis=1))) for a in wub)
+            h = c = np.zeros((3, 5))
+            largest = 0.0
+            for t in range(6):
+                x = emb[ids[:, t]]
+                z = {g: x @ w[g] + h @ u[g] + b[g] for g in "ifgo"}
+                largest = max(largest, *(np.abs(v).max() for v in z.values()))
+                c = sig(z["f"]) * c + sig(z["i"]) * np.tanh(z["g"])
+                h = sig(z["o"]) * np.tanh(c)
+            assert largest > 4 * scale
+            got = ad.lstm(*(Tensor.const(a) for a in (emb, *wub)), ids)
+            np.testing.assert_allclose(got.data, h, rtol=0, atol=1e-14)
+
+    def test_lstm_gates_match_long_double(self):
+        # one step from zero state: the gates are the activated rows of
+        # emb @ w + b, with w = I and b = 0 so the preactivations are exact
+        hid, n = 16, 64
+        x = np.linspace(-50.0, 50.0, n * 4 * hid).reshape(n, 4 * hid)
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in (x, np.eye(4 * hid), np.zeros((hid, 4 * hid)),
+                                         np.zeros((1, 4 * hid)))]
+        h = ad.lstm(*leaves, np.arange(n)[:, None])
+        gates = tape.nodes[h.node_id].meta["saved"]["gates"][0]
+        z = x.astype(np.longdouble)
+        want = 1 / (1 + np.exp(-z))
+        want[:, 2 * hid:3 * hid] = np.tanh(z[:, 2 * hid:3 * hid])  # g
+        assert np.abs(gates - want).max() <= 2.0**-52
 
     def test_lstm_finite_at_large_preactivations(self):
         # every gate sees x = [1e3, -1e3]; a plain 1 / (1 + exp(-z)) overflows
@@ -458,9 +478,9 @@ class TestBlockedKernels:
         want = run()  # 11 captions are one block of the default size
         scans, steps = [], ad._lstm_steps
 
-        def counted(xw, u, b, inv, gates=None):
+        def counted(xw, u, inv, gates=None):
             scans.append(inv.shape[0])
-            return steps(xw, u, b, inv, gates)
+            return steps(xw, u, inv, gates)
 
         monkeypatch.setattr(ad, "_lstm_steps", counted)
         monkeypatch.setattr(ad, "LSTM_BLOCK", block)
@@ -551,12 +571,12 @@ class TestBlockedKernels:
         monkeypatch.setattr(ad, "POOL_WORKERS", 2)
         seen, steps = [], ad._lstm_steps
 
-        def counted(xw, u, b, inv, gates=None):
+        def counted(xw, u, inv, gates=None):
             if fail and inv.shape[0] == 2:  # the first block, of 2 rows, fails at once
                 raise RuntimeError("block failed")
             time.sleep(0.02)  # while the other blocks still run
             seen.append(get())
-            return steps(xw, u, b, inv, gates)
+            return steps(xw, u, inv, gates)
 
         monkeypatch.setattr(ad, "_lstm_steps", counted)
         before = get()

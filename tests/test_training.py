@@ -297,6 +297,29 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="val_records is empty"):
             train(replace(data, val_records=[]), params, cfg)
 
+    def test_unknown_val_feature_rejected_before_a_step(self, small_training_setup,
+                                                        monkeypatch):
+        data, cfg = small_training_setup
+
+        def no_step(*args):
+            raise AssertionError("a step ran before val_records' features were checked")
+
+        monkeypatch.setattr(training, "_batch_step", no_step)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(1))
+        stray = DatasetRecord("v0", "missing", ["a caption"])
+        with pytest.raises(DataFormatError,
+                           match="record 'v0' references unknown feature 'missing'"):
+            train(replace(data, val_records=[*data.val_records, stray]), params, cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr_init", np.nan), ("lr_init", np.inf), ("lr_init", -1e-3),
+        ("batch_size", 1), ("seq_len", 0),
+    ], ids=["nan-lr", "infinite-lr", "negative-lr", "batch-of-one", "zero-seq-len"])
+    def test_bad_config_rejected_by_name(self, small_training_setup, field, value):
+        _, cfg = small_training_setup
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            replace(cfg, **{field: value})
+
     def test_zero_epochs_rejected(self, small_training_setup):
         data, cfg = small_training_setup
         params = ModelParams.init(cfg.dims, np.random.default_rng(1))
@@ -461,9 +484,11 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("key, value", [
         ("schedule.grow_cycles", -1.0), ("schedule.epoch", 2.5), ("adam.t", np.nan),
         ("schedule.batch_size", 2.0**53), ("schedule.lr", np.nan), ("schedule.lr", -0.1),
-        ("schedule.best_loss", np.nan), ("schedule.perfect_fit", 2.0),
+        ("schedule.best_loss", np.nan), ("schedule.best_loss", -np.inf),
+        ("schedule.best_loss", -1.0), ("schedule.perfect_fit", 2.0),
     ], ids=["negative-count", "fractional-count", "nan-count", "count-at-2**53",
-            "nan-lr", "negative-lr", "nan-best-loss", "perfect-fit-not-0-or-1"])
+            "nan-lr", "negative-lr", "nan-best-loss", "minus-infinite-best-loss",
+            "negative-best-loss", "perfect-fit-not-0-or-1"])
     def test_bad_scalar_rejected_by_name(self, small_training_setup, key, value):
         # the counts are read back from float64 tensors, so restore checks them
         cfg, ck = self._checkpoint(small_training_setup)
