@@ -30,20 +30,21 @@ directions without holding the (captions, images) penalty matrix:
   item, an entry above the upper one certainly is not. Each caption's
   counts run along its slab row, each image's down the slab's columns.
 - The pairs between a query's two thresholds, typically well under 1% of
-  them, are rechecked: `paired_order_penalty` gives their float64 penalties,
-  bit-equal to the matrix's, in pieces of one order_penalty block of
-  gathered rows, and they are counted by the rule above.
-- Where more than DENSE of a piece's pairs fall between thresholds, as in a
-  collapsed or heavily tied gallery, the rest of the chunk is counted on its
-  float64 slab with `count_ahead`, the exact pass the screen replaced.
+  them, are rechecked: `paired_order_penalty` gives their float64 penalties
+  through the relevant pass's loop, and they are counted by the rule above.
+- Where more than DENSE of a chunk's pairs fall between thresholds, as in a
+  collapsed or heavily tied gallery, nothing of the screen is counted: the
+  chunk is counted on its float64 slab with `count_ahead`, the exact pass
+  the screen replaced.
 
 So the ranks equal the float64 matrix's. The screen runs when no float32
 penalty can overflow (so every float32 entry is finite); otherwise every
 chunk takes the float64 pass. A chunk is one round of the order-penalty
 thread pool: one block of captions per pool thread, so no core waits on an
 odd last block, and a float32 block has as many rows as a float64 one.
-Memory is O(chunk x images): a chunk's float32 slab is half its float64
-slab, and the screen's boolean masks cover SCREEN_PIECE entries at a time.
+Memory is O(chunk x images): a chunk is screened whole or counted whole on
+float64, its float32 slab is half its float64 slab, and its boolean masks
+are 3/4 of its float32 slab.
 
 encode_corpus takes its token rows, caption owners and image features from
 io.record_rows, the path training takes too.
@@ -76,6 +77,10 @@ class Metrics:
     def row(self) -> str:
         return (f"{self.r_at[1]:5.1f} {self.r_at[5]:5.1f} {self.r_at[10]:5.1f} "
                 f"{self.med_r:7.1f}")
+
+    def to_json_dict(self) -> dict:
+        return {**{f"r{k}": self.r_at[k] for k in RECALL_KS},
+                "medr": self.med_r, "n_queries": self.n_queries}
 
 
 def _ahead(penalty, index, best, first):
@@ -146,8 +151,7 @@ def _caption_owners(cap_owner, n_caps: int, n_imgs: int) -> np.ndarray:
 
 
 KAPPA = 2.0 ** -22  # splits the cross term of screen_bound's error bound
-DENSE = 0.25  # undecided share of a screened piece above which the chunk's rest goes to float64
-SCREEN_PIECE = 1 << 18  # entries of a float32 chunk screened at a time
+DENSE = 0.25  # undecided share of a screened chunk above which it is counted on float64
 
 
 def screen_bound(j: int, norm_sum) -> tuple[float, np.ndarray]:
@@ -211,17 +215,13 @@ def _screens(v_txt: np.ndarray, v_img: np.ndarray) -> bool:
 
 
 class _Ranker:
-    """What both passes over caption chunks share: each query's best
-    relevant item, its screen thresholds and its running rank."""
+    """Each query's best relevant item, its screen thresholds and its
+    running rank, counted one caption chunk at a time."""
 
     def __init__(self, v_txt: np.ndarray, v_img: np.ndarray, owner: np.ndarray):
         self.v_txt, self.v_img, self.owner = v_txt, v_img, owner
         n_caps, n_imgs = len(v_txt), len(v_img)
-        cap_best = np.empty(n_caps)
-        rows = penalty_round_rows(v_txt)
-        for lo in range(0, n_caps, rows):
-            r = slice(lo, lo + rows)
-            cap_best[r] = paired_order_penalty(v_txt[r], v_img[owner[r]])
+        cap_best = self.paired(np.arange(n_caps), owner)
         img_best = np.full(n_imgs, np.inf)
         np.minimum.at(img_best, owner, cap_best)
         holders = np.flatnonzero(cap_best == img_best[owner])
@@ -230,64 +230,65 @@ class _Ranker:
         self.cap_best, self.img_best, self.img_first = cap_best, img_best, img_first
         self.s_ranks = np.ones(n_imgs, dtype=np.int64)
         self.i_ranks = np.ones(n_caps, dtype=np.int64)
+        self.screens = _screens(v_txt, v_img)
+        if self.screens:
+            j = v_txt.shape[1]
+            n_txt, n_img = (np.sqrt(np.vecdot(v, v)) for v in (v_txt, v_img))
+            k, f_cap = screen_bound(j, n_txt + n_img.max(initial=0.0))
+            _, f_img = screen_bound(j, n_img + n_txt.max(initial=0.0))
+            self.cap_lo, self.cap_hi = _thresholds(cap_best, k, f_cap)
+            self.img_lo, self.img_hi = _thresholds(img_best, k, f_img)
+            self.y32 = v_img.astype(np.float32)
 
-    def set_thresholds(self) -> None:
-        """Each caption's and each image's float32 screen thresholds."""
-        j = self.v_txt.shape[1]
-        n_txt, n_img = (np.sqrt(np.vecdot(v, v)) for v in (self.v_txt, self.v_img))
-        k, f_cap = screen_bound(j, n_txt + n_img.max(initial=0.0))
-        _, f_img = screen_bound(j, n_img + n_txt.max(initial=0.0))
-        self.cap_lo, self.cap_hi = _thresholds(self.cap_best, k, f_cap)
-        self.img_lo, self.img_hi = _thresholds(self.img_best, k, f_img)
+    def paired(self, caps: np.ndarray, imgs: np.ndarray) -> np.ndarray:
+        """float64 penalties of the pairs (caps[i], imgs[i]), bit-equal to the
+        matrix's, formed in pieces of one order_penalty block of gathered rows."""
+        out = np.empty(len(caps))
+        piece = penalty_block_rows(self.v_txt)
+        for lo in range(0, len(caps), piece):
+            c, i = caps[lo:lo + piece], imgs[lo:lo + piece]
+            out[lo:lo + piece] = paired_order_penalty(self.v_txt[c], self.v_img[i])
+        return out
 
-    def count_slab(self, lo: int, hi: int) -> None:
-        """Count captions lo..hi, at most one pool round, on their float64 slab."""
+    def count(self, lo: int, hi: int) -> None:
+        """Count captions lo..hi, at most one pool round: through the float32
+        screen where it decides the chunk, else on their float64 slab."""
+        if self.screens and self.count_screened(lo, hi):
+            return
         slab = pairwise_order_penalty(self.v_txt[lo:hi], self.v_img)  # (rows, n_imgs)
         self.i_ranks[lo:hi] += count_ahead(slab, self.cap_best[lo:hi], self.owner[lo:hi])
         self.s_ranks += count_ahead(slab.T, self.img_best, self.img_first, lo)
 
-    def count_screened(self, p: np.ndarray, start: int) -> int:
-        """Count the captions of the float32 chunk p, whose rows are captions
-        start, start + 1, ..., one piece at a time. Returns the rows counted:
-        all of them, or those before the first piece in which more than
-        DENSE of the pairs lie between a threshold pair."""
-        n, m = p.shape
-        step = max(1, SCREEN_PIECE // m)
-        below, cap_decided, img_decided = np.empty((3, min(step, n), m), dtype=bool)
-        for lo in range(0, n, step):
-            q = p[lo:lo + step]
-            r = slice(start + lo, start + lo + len(q))
-            b, c, i = below[:len(q)], cap_decided[:len(q)], img_decided[:len(q)]
-            cap_lo, cap_hi = self.cap_lo[r, None], self.cap_hi[r, None]
-            np.less(q, cap_lo, out=b)
-            cap_ahead = np.count_nonzero(b, axis=1)
-            np.greater(q, cap_hi, out=c)
-            c |= b
-            np.less(q, self.img_lo, out=b)
-            img_ahead = np.count_nonzero(b, axis=0)
-            np.greater(q, self.img_hi, out=i)
-            i |= b
-            np.logical_not(c & i, out=c)  # undecided in either direction
-            undecided = np.flatnonzero(c)
-            if undecided.size > DENSE * q.size:
-                return lo
-            self.i_ranks[r] += cap_ahead
-            self.s_ranks += img_ahead
-            self._recheck(r.start + undecided // m, undecided % m, q.ravel()[undecided])
-        return n
-
-    def _recheck(self, caps: np.ndarray, imgs: np.ndarray, p32: np.ndarray) -> None:
-        """Count the pairs (caps, imgs) by their float64 penalties, in place
-        of what their float32 ones p32 counted. The pieces' gathered rows are
-        one order_penalty block each."""
-        piece = penalty_block_rows(self.v_txt)
-        for lo in range(0, len(caps), piece):
-            c, i, p = caps[lo:lo + piece], imgs[lo:lo + piece], p32[lo:lo + piece]
-            pen = paired_order_penalty(self.v_txt[c], self.v_img[i])
-            cap = _ahead(pen, i, self.cap_best[c], self.owner[c])
-            img = _ahead(pen, c, self.img_best[i], self.img_first[i])
-            np.add.at(self.i_ranks, c, cap.astype(np.int64) - (p < self.cap_lo[c]))
-            np.add.at(self.s_ranks, i, img.astype(np.int64) - (p < self.img_lo[i]))
+    def count_screened(self, lo: int, hi: int) -> bool:
+        """Count captions lo..hi on their float32 slab, rechecking in float64
+        the pairs that lie between a threshold pair. Counts nothing and
+        returns False if more than DENSE of the chunk's pairs do."""
+        p = pairwise_order_penalty(self.v_txt[lo:hi].astype(np.float32), self.y32)
+        below, cap_decided, img_decided = np.empty((3, *p.shape), dtype=bool)
+        np.less(p, self.cap_lo[lo:hi, None], out=below)
+        cap_ahead = np.count_nonzero(below, axis=1)
+        np.greater(p, self.cap_hi[lo:hi, None], out=cap_decided)
+        cap_decided |= below
+        np.less(p, self.img_lo, out=below)
+        img_ahead = np.count_nonzero(below, axis=0)
+        np.greater(p, self.img_hi, out=img_decided)
+        img_decided |= below
+        cap_decided &= img_decided
+        undecided = np.logical_not(cap_decided, out=cap_decided)  # in either direction
+        if np.count_nonzero(undecided) > DENSE * p.size:
+            return False
+        self.i_ranks[lo:hi] += cap_ahead
+        self.s_ranks += img_ahead
+        # free the slab and masks before rechecking the undecided pairs in float64
+        p32, (caps, imgs) = p[undecided], np.nonzero(undecided)
+        del p, below, cap_decided, img_decided, undecided
+        caps += lo
+        pen = self.paired(caps, imgs)
+        cap = _ahead(pen, imgs, self.cap_best[caps], self.owner[caps])
+        img = _ahead(pen, caps, self.img_best[imgs], self.img_first[imgs])
+        np.add.at(self.i_ranks, caps, cap.astype(np.int64) - (p32 < self.cap_lo[caps]))
+        np.add.at(self.s_ranks, imgs, img.astype(np.int64) - (p32 < self.img_lo[imgs]))
+        return True
 
 
 def retrieval_ranks(v_txt: np.ndarray, v_img: np.ndarray,
@@ -312,20 +313,9 @@ def retrieval_ranks(v_txt: np.ndarray, v_img: np.ndarray,
                              f"is not finite")
     n_caps = len(v_txt)
     ranker = _Ranker(v_txt, v_img, _caption_owners(cap_owner, n_caps, len(v_img)))
-    screen = _screens(v_txt, v_img)
-    if screen:
-        ranker.set_thresholds()
-        y32 = v_img.astype(np.float32)
     rows = penalty_round_rows(v_txt)
     for lo in range(0, n_caps, rows):
-        hi = min(lo + rows, n_caps)
-        done = 0
-        if screen:
-            p = pairwise_order_penalty(v_txt[lo:hi].astype(np.float32), y32)
-            done = ranker.count_screened(p, lo)
-            del p  # before any float64 slab is formed
-        if lo + done < hi:
-            ranker.count_slab(lo + done, hi)
+        ranker.count(lo, min(lo + rows, n_caps))
     return ranker.s_ranks, ranker.i_ranks
 
 
@@ -353,70 +343,45 @@ class DirectionReport:
     folds: list[Metrics] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "direction": self.direction,
-            "protocol": self.protocol,
-            "r1": self.overall.r_at[1],
-            "r5": self.overall.r_at[5],
-            "r10": self.overall.r_at[10],
-            "medr": self.overall.med_r,
-            "n_queries": self.overall.n_queries,
-            "folds": [
-                {"r1": m.r_at[1], "r5": m.r_at[5], "r10": m.r_at[10],
-                 "medr": m.med_r, "n_queries": m.n_queries}
-                for m in self.folds
-            ],
-        }
-        return out
+        return {"direction": self.direction, "protocol": self.protocol,
+                **self.overall.to_json_dict(),
+                "folds": [m.to_json_dict() for m in self.folds]}
 
 
 def evaluate_embeddings(v_img, v_txt, cap_owner, protocol: str,
                         ) -> dict[str, DirectionReport]:
     """Metrics for both directions under `protocol` ("full_5k" or "folds_1k").
 
-    folds_1k averages metrics across folds of 1000 images (at most 5 folds,
-    taken from the front in record order).
+    folds_1k averages up to 5 folds of 1000 images, taken from the front in
+    record order; full_5k is one fold of every image, and lists no folds.
     """
-    if len(v_img) == 0:
+    n_imgs = len(v_img)
+    if n_imgs == 0:
         raise ValueError(f"{protocol}: nothing to evaluate, no images or records")
     if protocol == "full_5k":
-        s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, cap_owner)
-        return {
-            "sentence_retrieval": DirectionReport(
-                "sentence_retrieval", protocol, metrics_from_ranks(s_ranks)),
-            "image_retrieval": DirectionReport(
-                "image_retrieval", protocol, metrics_from_ranks(i_ranks)),
-        }
-    if protocol != "folds_1k":
+        fold_ranks = [retrieval_ranks(v_txt, v_img, cap_owner)]
+    elif protocol == "folds_1k":
+        if n_imgs < FOLD_SIZE:
+            raise ValueError(f"folds_1k needs at least {FOLD_SIZE} images, got {n_imgs}")
+        cap_owner = np.asarray(cap_owner)
+        fold_ranks = []
+        for lo in range(0, min(5, n_imgs // FOLD_SIZE) * FOLD_SIZE, FOLD_SIZE):
+            caps = (cap_owner >= lo) & (cap_owner < lo + FOLD_SIZE)
+            fold_ranks.append(retrieval_ranks(v_txt[caps], v_img[lo:lo + FOLD_SIZE],
+                                              cap_owner[caps] - lo))
+    else:
         raise ValueError(f"unknown protocol {protocol!r}")
 
-    n_imgs = len(v_img)
-    n_folds = min(5, n_imgs // FOLD_SIZE)
-    if n_folds == 0:
-        raise ValueError(
-            f"folds_1k needs at least {FOLD_SIZE} images, got {n_imgs}"
-        )
-    cap_owner = np.asarray(cap_owner)
-    per_dir: dict[str, list[Metrics]] = {"sentence_retrieval": [], "image_retrieval": []}
-    for fold in range(n_folds):
-        lo_i, hi_i = fold * FOLD_SIZE, (fold + 1) * FOLD_SIZE
-        img_rows = np.arange(lo_i, hi_i)
-        cap_mask = (cap_owner >= lo_i) & (cap_owner < hi_i)
-        fold_owner = cap_owner[cap_mask] - lo_i
-        s_ranks, i_ranks = retrieval_ranks(
-            v_txt[cap_mask], v_img[img_rows], fold_owner)
-        per_dir["sentence_retrieval"].append(metrics_from_ranks(s_ranks))
-        per_dir["image_retrieval"].append(metrics_from_ranks(i_ranks))
-
     out = {}
-    for direction, fold_metrics in per_dir.items():
+    for d, direction in enumerate(("sentence_retrieval", "image_retrieval")):
+        folds = [metrics_from_ranks(ranks[d]) for ranks in fold_ranks]
         mean = Metrics(
-            r_at={k: float(np.mean([m.r_at[k] for m in fold_metrics]))
-                  for k in RECALL_KS},
-            med_r=float(np.mean([m.med_r for m in fold_metrics])),
-            n_queries=sum(m.n_queries for m in fold_metrics),
+            r_at={k: float(np.mean([m.r_at[k] for m in folds])) for k in RECALL_KS},
+            med_r=float(np.mean([m.med_r for m in folds])),
+            n_queries=sum(m.n_queries for m in folds),
         )
-        out[direction] = DirectionReport(direction, protocol, mean, fold_metrics)
+        out[direction] = DirectionReport(direction, protocol, mean,
+                                         folds if protocol == "folds_1k" else [])
     return out
 
 

@@ -119,13 +119,16 @@ class _Reader:
 
 
 def write_feature_file(table: FeatureTable, path) -> None:
+    """Write `table` to `path`. Every id is encoded and checked before `path`
+    is opened, so an id that does not fit leaves the old file as it was."""
+    ids = [image_id.encode("utf-8") for image_id in table.entries]
+    for image_id, idb in zip(table.entries, ids):
+        if len(idb) > 0xFFFF:
+            raise DataFormatError(f"image id too long: {image_id[:32]!r}...")
     with open(path, "wb") as f:
         f.write(FEATURE_MAGIC)
         f.write(struct.pack("<III", FEATURE_VERSION, len(table), table.dim))
-        for image_id, vec in table.entries.items():
-            idb = image_id.encode("utf-8")
-            if len(idb) > 0xFFFF:
-                raise DataFormatError(f"image id too long: {image_id[:32]!r}...")
+        for idb, vec in zip(ids, table.entries.values()):
             f.write(struct.pack("<H", len(idb)))
             f.write(idb)
             f.write(vec.astype("<f4").tobytes())
@@ -252,6 +255,8 @@ def load_word_vectors(path, vocab: Vocabulary,
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: unparseable float") from None
+            if not np.isfinite(vec).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite value for {token!r}")
             if token in vocab:
                 vectors[token] = vec
     if dim is None:

@@ -184,9 +184,13 @@ class TrainConfig:
         # NaN fails both comparisons, as in adam_step
         if not 0 <= self.lr_init < np.inf:
             raise ValueError(f"lr_init must be finite and >= 0, got {self.lr_init!r}")
-        for name, least in (("batch_size", 2), ("max_epochs", 1), ("seq_len", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        for name, least in (("seed", 0), ("batch_size", 2), ("max_epochs", 1), ("seq_len", 1)):
+            value = getattr(self, name)
+            # a bool is an int to Python, but neither a size nor a seed
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass

@@ -215,6 +215,11 @@ class TestProtocols:
             scores = [-order_penalty(v_txt[c], im) for im in v_img]
             assert i_ranks[c] == brute_force_rank(scores, {int(owner[c])})
         assert len(set(s_ranks.tolist())) > 1 and len(set(i_ranks.tolist())) > 1
+        # full_5k reports the metrics of these ranks, as one fold, and no folds
+        reports = evaluate_embeddings(v_img, v_txt, owner, "full_5k")
+        assert [(reports[d].overall, reports[d].folds) for d in
+                ("sentence_retrieval", "image_retrieval")] == [
+            (metrics_from_ranks(s_ranks), []), (metrics_from_ranks(i_ranks), [])]
 
     def test_folds_partition_and_mean(self):
         rng = np.random.default_rng(3)
@@ -463,7 +468,6 @@ class TestScreenedRanks:
         want_s, want_i = full_matrix_ranks(v_txt, v_img, owner)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ad, "PENALTY_BLOCK_BYTES", 8 * j * data.draw(st.integers(1, 4)))
-            mp.setattr(ev, "SCREEN_PIECE", data.draw(st.integers(1, 3 * n_imgs)))
             # a gallery this small is dense in undecided pairs; DENSE 1 screens it anyway
             mp.setattr(ev, "DENSE", data.draw(st.sampled_from([ev.DENSE, 1.0])))
             s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
@@ -504,3 +508,28 @@ class TestScreenedRanks:
         np.testing.assert_array_equal(s_ranks, want_s)
         np.testing.assert_array_equal(i_ranks, want_i)
         assert sum(float32_rows) == sum(float64_rows) == len(v_txt)
+
+    def test_half_collapsed_gallery_is_screened_or_counted_by_whole_chunk(self, monkeypatch):
+        # the first half of the image rows are equal: the chunks of their
+        # captions are dense in undecided pairs and fall back to float64,
+        # the chunks of the other captions are screened
+        rng = np.random.default_rng(14)
+        n_imgs, j = 40, 8
+        v_img = rng.uniform(0, 1, (n_imgs, j))
+        v_img[:n_imgs // 2] = v_img[0]
+        v_txt = rng.uniform(0, 1, (3 * n_imgs, j))
+        owner = np.repeat(np.arange(n_imgs), 3)
+        want_s, want_i = full_matrix_ranks(v_txt, v_img, owner)
+        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", 8 * j * 12)  # 12-caption chunks
+        slabs = []
+        kernel = ev.pairwise_order_penalty
+        monkeypatch.setattr(ev, "pairwise_order_penalty",
+                            lambda x, y: slabs.append((x.dtype, len(x))) or kernel(x, y))
+        s_ranks, i_ranks = retrieval_ranks(v_txt, v_img, owner)
+        np.testing.assert_array_equal(s_ranks, want_s)
+        np.testing.assert_array_equal(i_ranks, want_i)
+        float64_at = [k for k, (dtype, _) in enumerate(slabs) if dtype == np.float64]
+        assert 0 < len(float64_at) < len(slabs) - len(float64_at)
+        for k in float64_at:  # the whole float32 chunk before it, not a part
+            assert k > 0 and slabs[k - 1] == (np.float32, slabs[k][1])

@@ -64,6 +64,18 @@ class TestFeatureFile:
                 + np.array([1.0, -2.0], dtype="<f4").tobytes())
         assert p.read_bytes() == want
 
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        p = tmp_path / "feats.bin"
+        table = FeatureTable(2)
+        table.add("ab", np.array([1.0, -2.0], dtype=np.float32))
+        write_feature_file(table, p)
+        good = p.read_bytes()
+        table.add("x" * 70000, np.zeros(2, dtype=np.float32))  # over the u16 length
+        with pytest.raises(DataFormatError, match="image id too long: 'xxx"):
+            write_feature_file(table, p)
+        assert p.read_bytes() == good
+        assert read_feature_file(p).entries.keys() == {"ab"}
+
     def test_truncation_rejected_with_offset(self, tmp_path):
         rng = np.random.default_rng(2)
         p = tmp_path / "feats.bin"
@@ -204,6 +216,13 @@ class TestWordVectors:
         p = tmp_path / "vecs.txt"
         p.write_text("cat 1 2\ndog 1 oops\n")
         with pytest.raises(DataFormatError, match=":2:"):
+            load_word_vectors(p, vocab, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_naming_line(self, tmp_path, vocab, value):
+        p = tmp_path / "vecs.txt"
+        p.write_text(f"cat 1.0 2.0\ndog {value} 2.0\n")
+        with pytest.raises(DataFormatError, match="vecs.txt:2: non-finite value for 'dog'"):
             load_word_vectors(p, vocab, np.random.default_rng(0))
 
 

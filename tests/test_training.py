@@ -314,11 +314,20 @@ class TestTrainLoop:
     @pytest.mark.parametrize("field, value", [
         ("lr_init", np.nan), ("lr_init", np.inf), ("lr_init", -1e-3),
         ("batch_size", 1), ("seq_len", 0),
-    ], ids=["nan-lr", "infinite-lr", "negative-lr", "batch-of-one", "zero-seq-len"])
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("batch_size", 16.0),
+        ("seq_len", 8.0), ("max_epochs", 2.5),
+    ], ids=["nan-lr", "infinite-lr", "negative-lr", "batch-of-one", "zero-seq-len",
+            "negative-seed", "fractional-seed", "bool-seed", "float-batch-size",
+            "float-seq-len", "fractional-max-epochs"])
     def test_bad_config_rejected_by_name(self, small_training_setup, field, value):
         _, cfg = small_training_setup
         with pytest.raises(ValueError, match=f"^{field} must be"):
             replace(cfg, **{field: value})
+
+    def test_numpy_integer_sizes_accepted(self, small_training_setup):
+        _, cfg = small_training_setup
+        cfg = replace(cfg, seed=np.int64(3), batch_size=np.int32(4), max_epochs=np.uint8(2))
+        assert (cfg.seed, cfg.batch_size, cfg.max_epochs) == (3, 4, 2)
 
     def test_zero_epochs_rejected(self, small_training_setup):
         data, cfg = small_training_setup
