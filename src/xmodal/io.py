@@ -69,9 +69,6 @@ class FeatureTable:
     def __contains__(self, image_id: str) -> bool:
         return image_id in self.entries
 
-    def __getitem__(self, image_id: str) -> np.ndarray:
-        return self.entries[image_id]
-
     def ids(self) -> list[str]:
         return list(self.entries)
 

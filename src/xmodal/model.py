@@ -34,6 +34,18 @@ from .autodiff import GATES, Tape, Tensor
 INIT_SCALE = 0.08
 
 
+def check_int_fields(obj, least: dict[str, int]) -> None:
+    """Raise ValueError naming the first field of `obj`, in `least`'s order,
+    that is not a Python or numpy integer or is below its least value."""
+    for name, low in least.items():
+        value = getattr(obj, name)
+        # a bool is an int to Python, but neither a size nor a seed
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelDims:
     vocab_size: int   # d, padding excluded
@@ -42,11 +54,8 @@ class ModelDims:
     feature_dim: int  # f
 
     def __post_init__(self):
-        for name in ("embed_dim", "hidden_dim", "feature_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.vocab_size < 0:
-            raise ValueError("vocab_size must be >= 0")
+        check_int_fields(self, {"vocab_size": 0, "embed_dim": 1, "hidden_dim": 1,
+                                "feature_dim": 1})
 
 
 def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:

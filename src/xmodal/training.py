@@ -1,4 +1,4 @@
-"""Adam optimization with the plateau schedule, minibatching, grid search.
+"""Adam optimization with the plateau schedule and minibatching.
 
 Training starts at lr 1e-3 with batch size 16. When the epoch loss stops
 improving (by the relative IMPROVE_TOL) for PATIENCE epochs the learning
@@ -34,10 +34,9 @@ records whether the last epoch fit perfectly.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,8 +45,8 @@ from .evaluation import evaluate_records
 from .io import (DataFormatError, FeatureTable, check_feature_refs, record_rows,
                  save_checkpoint)
 from .loss import LossConfig, batch_loss
-from .model import (ModelDims, ModelParams, encode_image_batch, encode_text_batch,
-                    param_shapes)
+from .model import (ModelDims, ModelParams, check_int_fields, encode_image_batch,
+                    encode_text_batch, param_shapes)
 from .text import DEFAULT_SEQ_LEN, Vocabulary
 
 LR_INIT_DEFAULT = 1e-3
@@ -184,13 +183,7 @@ class TrainConfig:
         # NaN fails both comparisons, as in adam_step
         if not 0 <= self.lr_init < np.inf:
             raise ValueError(f"lr_init must be finite and >= 0, got {self.lr_init!r}")
-        for name, least in (("seed", 0), ("batch_size", 2), ("max_epochs", 1), ("seq_len", 1)):
-            value = getattr(self, name)
-            # a bool is an int to Python, but neither a size nor a seed
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value!r}")
+        check_int_fields(self, {"seed": 0, "batch_size": 2, "max_epochs": 1, "seq_len": 1})
 
 
 @dataclass
@@ -384,37 +377,3 @@ def _train_from_state(data: TrainingData, params: ModelParams, adam: AdamState,
         if sink:
             sink.close()
     return TrainResult(params, log, adam, schedule, stop_reason)
-
-
-def grid_search(grid: dict[str, list], data: TrainingData, base_cfg: TrainConfig,
-                ) -> tuple[TrainConfig, list[dict]]:
-    """Train one model per grid point and select by validation R@1 sum.
-
-    A key naming a LossConfig field sets that field of the config's loss;
-    any other key sets a TrainConfig field. Points are visited in
-    Cartesian-product order of the grid's insertion order; ties keep the
-    earliest point.
-    """
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    keys = list(grid)
-    loss_fields = {f.name for f in fields(LossConfig)}
-    results = []
-    best_cfg, best_score = None, -1.0
-    for values in itertools.product(*(grid[k] for k in keys)):
-        overrides = dict(zip(keys, values))
-        loss_over = {k: v for k, v in overrides.items() if k in loss_fields}
-        cfg_over = {k: v for k, v in overrides.items() if k not in loss_over}
-        cfg = replace(base_cfg, **cfg_over)
-        if loss_over:
-            cfg = replace(cfg, loss=replace(base_cfg.loss, **loss_over))
-        params = ModelParams.init(
-            cfg.dims, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])))
-        # train's last epoch already scored the final params on the same records
-        last = train(data, params, cfg).log[-1]
-        score = last["val_r1_sent"] + last["val_r1_img"]
-        results.append({**overrides, "score": score,
-                        "r1_sent": last["val_r1_sent"], "r1_img": last["val_r1_img"]})
-        if score > best_score:
-            best_cfg, best_score = cfg, score
-    return best_cfg, results

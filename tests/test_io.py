@@ -262,6 +262,16 @@ class TestCheckpoint:
         assert p.read_bytes() == good
         assert [q.name for q in tmp_path.iterdir()] == ["ckpt.bin"]
 
+    def test_save_failing_mid_write_leaves_old_file_and_no_temporary(self, tmp_path):
+        # "w" is written to the temporary before "s" fails to convert to float64
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(p, {"w": np.ones((2, 2))})
+        good = p.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint(p, {"w": np.zeros(2), "s": np.array(["a"])})
+        assert p.read_bytes() == good
+        assert [q.name for q in tmp_path.iterdir()] == ["ckpt.bin"]
+
     def test_version_mismatch_rejected(self, tmp_path):
         p = tmp_path / "ckpt.bin"
         save_checkpoint(p, {})

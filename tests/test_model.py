@@ -226,6 +226,24 @@ class TestEncodeImage:
         assert finite_diff_check(build, point, FD_STEP) < FD_TOL
 
 
+class TestModelDims:
+    @pytest.mark.parametrize("dims, field", [
+        ((5, 16.0, 32, 64), "embed_dim"), ((5, True, 32, 64), "embed_dim"),
+        ((5.0, 16, 32, 64), "vocab_size"), ((5, 16, np.float64(32), 64), "hidden_dim"),
+        ((5, 16, 32, "64"), "feature_dim"), ((-1, 16, 32, 64), "vocab_size"),
+        ((5, 16, 0, 64), "hidden_dim"),
+    ], ids=["float-embed-dim", "bool-embed-dim", "float-vocab-size",
+            "numpy-float-hidden-dim", "str-feature-dim", "negative-vocab-size",
+            "zero-hidden-dim"])
+    def test_bad_size_rejected_by_name(self, dims, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ModelDims(*dims)
+
+    def test_numpy_integer_sizes_accepted(self):
+        dims = ModelDims(np.int64(0), np.int32(16), np.uint8(32), 64)
+        assert dims == ModelDims(0, 16, 32, 64)
+
+
 class TestModelParams:
     def test_init_seeded_and_in_range(self):
         a = ModelParams.init(TEST_DIMS, np.random.default_rng(9))

@@ -1,5 +1,6 @@
 """Optimizer, schedule, and training-loop tests."""
 
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -21,7 +22,6 @@ from xmodal.training import (
     TrainConfig,
     TrainingData,
     adam_step,
-    grid_search,
     prepare_pairs,
     restore_training_state,
     resume_train,
@@ -254,11 +254,15 @@ class TestTrainLoop:
         strip = lambda log: [{k: v for k, v in e.items() if k != "wall_ms"} for e in log]
         assert strip(a.log) == strip(b.log)
 
-    def test_epoch_loss_nonnegative_and_logged(self, small_training_setup):
+    def test_epoch_loss_nonnegative_and_logged(self, small_training_setup, monkeypatch):
         data, cfg = small_training_setup
+        evals, evaluate = [], training.evaluate_records
+        monkeypatch.setattr(training, "evaluate_records",
+                            lambda *a, **k: evals.append(1) or evaluate(*a, **k))
         params = ModelParams.init(cfg.dims, np.random.default_rng(1))
         result = train(data, params, cfg)
         assert len(result.log) >= 1
+        assert len(evals) == len(result.log)  # one evaluation per logged epoch
         for entry in result.log:
             assert entry["loss"] >= 0.0
             assert entry["batch_size"] in (4, 8, 16)
@@ -545,6 +549,20 @@ class TestCheckpointResume:
         self._assert_same_run(straight, tail, head.log + tail.log)
         return straight
 
+    def test_log_file_holds_every_epoch_and_a_resume_appends(self, small_training_setup,
+                                                              tmp_path):
+        data, cfg = small_training_setup
+        cfg = replace(cfg, max_epochs=4)
+        params = ModelParams.init(cfg.dims, np.random.default_rng(11))
+        log_path = tmp_path / "log.jsonl"
+        logged = lambda: [json.loads(line) for line in log_path.read_text().splitlines()]
+        head = train(data, params, replace(cfg, max_epochs=2), log_path=log_path)
+        assert logged() == head.log
+        ck = training.checkpoint_tensors(head.params, head.adam, head.schedule)
+        tail = resume_train(data, ck, cfg, log_path=log_path)
+        assert logged() == head.log + tail.log
+        self._assert_same_run(train(data, params, cfg), tail, logged())
+
     @pytest.mark.parametrize("batch_size", [4, 2])
     def test_resume_is_the_uninterrupted_run(self, small_training_setup, tmp_path,
                                              batch_size):
@@ -706,71 +724,3 @@ class TestSharedRecordPath:
         for (got_ids, got_feats), batch in zip(seen, batches):
             np.testing.assert_array_equal(got_ids, token_ids[batch])
             np.testing.assert_array_equal(got_feats, feats[batch])
-
-
-class TestGridSearch:
-    def test_single_point_returned(self, small_training_setup):
-        data, cfg = small_training_setup
-        from dataclasses import replace
-        quick = replace(cfg, max_epochs=2)
-        best, results = grid_search({"alpha": [0.05]}, data, quick)
-        assert len(results) == 1
-        assert best.loss.alpha == 0.05
-
-    def test_dead_lr_config_loses(self, small_training_setup, monkeypatch):
-        monkeypatch.setattr(training, "MAX_GROW_CYCLES", 1)
-        data, cfg = small_training_setup
-        from dataclasses import replace
-        quick = replace(cfg, max_epochs=6)
-        best, results = grid_search({"lr_init": [0.0, 0.02]}, data, quick)
-        assert best.lr_init == 0.02
-        scores = {r["lr_init"]: r["score"] for r in results}
-        assert scores[0.02] > scores[0.0]
-
-    def test_adding_strictly_worse_point_never_changes_winner(self, small_training_setup):
-        data, cfg = small_training_setup
-        from dataclasses import replace
-        quick = replace(cfg, max_epochs=3)
-        best_small, _ = grid_search({"lr_init": [0.02]}, data, quick)
-        best_grown, results = grid_search({"lr_init": [0.02, 0.0]}, data, quick)
-        assert best_grown.lr_init == best_small.lr_init
-
-    def test_scores_come_from_the_last_logged_epoch(self, small_training_setup, monkeypatch):
-        data, cfg = small_training_setup
-        evals, logs = [], []
-        evaluate, run = training.evaluate_records, training.train
-        monkeypatch.setattr(training, "evaluate_records",
-                            lambda *a, **k: evals.append(1) or evaluate(*a, **k))
-
-        def logged_train(*args, **kwargs):
-            result = run(*args, **kwargs)
-            logs.append(result.log)
-            return result
-
-        monkeypatch.setattr(training, "train", logged_train)
-        _, results = grid_search({"lr_init": [0.0, 0.02]}, data, replace(cfg, max_epochs=2))
-        assert len(evals) == sum(len(log) for log in logs)  # no second evaluation
-        for res, log in zip(results, logs):
-            assert (res["r1_sent"], res["r1_img"]) == (log[-1]["val_r1_sent"],
-                                                      log[-1]["val_r1_img"])
-            assert res["score"] == res["r1_sent"] + res["r1_img"]
-
-    def test_mixed_grid_sets_loss_and_train_fields(self, small_training_setup,
-                                                   monkeypatch):
-        data, cfg = small_training_setup
-        seen, run = [], training.train
-
-        def spy(data, params, cfg, *args, **kwargs):
-            seen.append((cfg.loss.alpha, cfg.lr_init))
-            return run(data, params, cfg, *args, **kwargs)
-
-        monkeypatch.setattr(training, "train", spy)
-        _, results = grid_search({"alpha": [0.05, 0.1], "lr_init": [0.0, 0.02]}, data,
-                                 replace(cfg, max_epochs=1))
-        assert seen == [(r["alpha"], r["lr_init"]) for r in results] == [
-            (0.05, 0.0), (0.05, 0.02), (0.1, 0.0), (0.1, 0.02)]
-
-    def test_empty_grid_rejected(self, small_training_setup):
-        data, cfg = small_training_setup
-        with pytest.raises(ValueError):
-            grid_search({}, data, cfg)
