@@ -12,33 +12,46 @@ Primitive op kinds (add's second operand may be a (1, n) bias row):
 
 lstm(E, W, U, b, ids) is a whole single-layer LSTM as one node: E is the
 embedding, meta["ids"] the (B, L) token rows, and W (e, 4h), U (h, 4h) and
-b (1, 4h) hold the gates side by side in GATES order. The input projection
-E[t] @ W + b is formed once per distinct token t in ids, as one GEMM and
-one in-place add of b; step t gathers its rows of it into a (B, 4h) gate
-buffer through the inverse index and adds h @ U there. One tanh pass over
-the buffer activates every gate: g directly, and i, f and o as
+b (1, 4h) hold the gates side by side in GATES order. Each caption runs
+over its own tokens only: its length runs up to and including its last
+non-zero id, so trailing padding never runs and an interior 0 does, and a
+caption with no non-zero id keeps the zero state. The rows are sorted by
+length once, longest first and stable, so the captions still running at
+step t are a prefix of that order: step t works on the first a_t rows of
+each block, and the T = sum of the lengths real (step, row) cells are
+packed time-major. The input projection E[t] @ W + b is formed once per
+distinct token t of those cells, as one GEMM and one in-place add of b;
+step t gathers its rows of it into a gate buffer, adds h @ U there and
+activates the buffer with one tanh pass: g directly, and i, f and o as
 sigmoid(x) = (1 + tanh(x / 2)) / 2, halved before it and shifted after.
-The scan returns the last h. It runs in blocks of at most LSTM_BLOCK
-captions, so its per-step buffers stay in cache. A tape-free forward keeps
-only the current (h, c) and one gate buffer per block. A tape-free scan of
+Both GEMMs run on at least two rows, h @ U on max(a_t, 2) of them keeping
+the first a_t, because numpy runs a one-row product as gemv, which rounds
+differently: a caption's bits do not depend on its batch or its block, so
+one caption encoded alone equals its row of any batch. The scan returns
+each caption's last h, written straight into the caller's row order. It
+runs in blocks of at most LSTM_BLOCK captions, contiguous ranges of the
+sorted order, so its per-step buffers stay in cache. A tape-free forward
+keeps only each block's (h, c) and one gate buffer. A tape-free scan of
 more than LSTM_BLOCK captions (evaluation's encode of a corpus) runs its
-blocks on the thread pool, each of LSTM_BLOCK // POOL_WORKERS rows but never
-fewer than 3, so the rows in flight stay at LSTM_BLOCK and no block has the
-one row that numpy would run as gemv, with different rounding. For that
-call numpy's OpenBLAS is held to one thread and its old count restored
+blocks on the thread pool, each of LSTM_BLOCK // POOL_WORKERS rows but
+never fewer than 3, so the rows in flight stay at LSTM_BLOCK. For that call
+numpy's OpenBLAS is held to one thread and its old count restored
 afterwards, also when a block raises: left at several threads, OpenBLAS's
 workers busy-wait between GEMMs on the cores that the blocks' gate work
 needs. The thread count is process-wide, so no other thread may call BLAS
 while a pooled scan runs. Recorded scans, scans of at most LSTM_BLOCK
 captions, scans called from a pool worker, and every scan when no OpenBLAS
 thread control is found or POOL_WORKERS is 1, run their blocks in order on
-the calling thread. Recorded on a tape, each block writes its rows of
-every step's gates into an (L, B, 4h) array and of the cells and hiddens
-into (L+1, B, h) arrays, kept in meta["saved"]; the VJP pops them off the
-node, so they are freed as it returns, runs backpropagation through time
-on them and forms each gradient as one GEMM, sum or np.add.at over all
-steps. BPTT writes each step's gate gradients dz over that step's saved
-gates, so backward allocates no second (L, B, 4h) array.
+the calling thread. Recorded on a tape, the scan keeps packed (T, 4h) gates
+and (T, h) cells and input hiddens, one row per real cell, each block
+writing its own contiguous slice of every step's rows, with the row order,
+the step starts and each cell's token, in meta["saved"]; the VJP pops them
+off the node, so they are freed as it returns. It walks the same prefixes
+back, a caption's gradient entering at its own last step, and writes each
+step's gate gradients dz over that step's saved gates, so backward
+allocates no second (T, 4h) array. Each weight gradient is one GEMM, sum or
+np.add.at over the T packed rows. So E[0], the padding token, trains only
+from interior zeros, never from trailing padding.
 
 order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
 and (M, j) rows as one node, built without an (N, M, j) intermediate;
@@ -378,22 +391,52 @@ def _bw_hinge(node, g):
     return (dp,)
 
 
-def _lstm_steps(xw, u, inv, gates=None):
-    """Yield each step's new state (c, h), starting from zero state.
+def _packed_cells(ids):
+    """(order, starts, tokens): the plan of the scan over the (B, L) rows `ids`.
 
-    Step t gathers the rows inv[:, t] of the input projections `xw`, which
-    hold the bias, into its gate buffer, adds h @ u there and activates the
-    buffer in place with one tanh. The buffer is gates[t] of an (L, B, 4h)
-    `gates`, which then holds every step's activated gates i f g o, or else
-    one (B, 4h) array reused by every step.
+    A row's length runs up to and including its last non-zero id. `order`
+    sorts the rows by length, longest first and stable, so step t runs on
+    the first starts[t + 1] - starts[t] rows of it. `tokens` holds the id of
+    every real (step, row) cell, time-major: step t's at starts[t]:starts[t + 1].
     """
-    n, hid = inv.shape[0], u.shape[0]
-    buf = np.empty((n, 4 * hid)) if gates is None else None
-    h = c = np.zeros((n, hid))
-    for t in range(inv.shape[1]):
+    n, steps = ids.shape
+    lengths = ((ids != 0) * np.arange(1, steps + 1)).max(axis=1, initial=0)
+    order = np.argsort(-lengths, kind="stable")
+    longest = int(lengths.max(initial=0))
+    active = n - np.cumsum(np.bincount(lengths, minlength=longest + 1))[:longest]
+    starts = np.concatenate(([0], np.cumsum(active)))
+    real = np.arange(longest)[:, None] < lengths[order]  # (step, sorted row)
+    return order, starts, ids[order, :longest].T[real]
+
+
+def _lstm_scan(xw, u, inv, starts, rows, saved=None):
+    """Scan the sorted rows `rows` from zero state; return their last h.
+
+    Step t runs on the a rows of the block that are still in their caption:
+    it gathers their rows inv[cells] of the input projections `xw`, which
+    hold the bias, into a gate buffer, adds h @ u there and activates the
+    buffer in place with one tanh. h @ u runs on max(a, 2) rows, its h
+    buffer has at least two, and only the first a are kept: numpy runs a
+    one-row product as gemv, which rounds differently, so a row's bits do
+    not depend on its block. Recorded, the buffer is the block's slice of
+    saved["gates"], and each step also writes its cells and its input
+    hiddens into saved["cells"] and saved["hiddens"].
+    """
+    lo, m = rows.start, rows.stop - rows.start
+    hid = u.shape[0]
+    h, c = np.zeros((max(m, 2), hid)), np.zeros((m, hid))
+    buf = np.empty((m, 4 * hid)) if saved is None else None
+    for t in range(len(starts) - 1):
+        a = min(starts[t + 1] - starts[t] - lo, m)
+        if a <= 0:
+            break
+        cells = slice(starts[t] + lo, starts[t] + lo + a)
+        z = buf[:a] if saved is None else saved["gates"][cells]
         # inv is in range; mode="clip" lets take write into z unbuffered
-        z = xw.take(inv[:, t], axis=0, out=buf if gates is None else gates[t], mode="clip")
-        z += h @ u
+        xw.take(inv[cells], axis=0, out=z, mode="clip")
+        if saved is not None:
+            saved["hiddens"][cells] = h[:a]
+        z += (h[:max(a, 2)] @ u)[:a]
         ifo = z[:, :2 * hid], z[:, 3 * hid:]  # i and f side by side, then o
         for s in ifo:
             s *= 0.5
@@ -402,33 +445,36 @@ def _lstm_steps(xw, u, inv, gates=None):
             s *= 0.5
             s += 0.5
         i, f, g, o = np.split(z, 4, axis=1)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        yield c, h
+        ca = c[:a]
+        ca *= f
+        ca += i * g
+        np.tanh(ca, out=h[:a])
+        h[:a] *= o
+        if saved is not None:
+            saved["cells"][cells] = ca
+    return h[:m]
 
 
 def _fw_lstm(emb, w, u, b, meta):
     ids = meta["ids"]
-    n, steps = ids.shape
-    hid = u.shape[0]
-    # the input projection of each distinct token, and each position's row of it
-    tokens, inv = np.unique(ids, return_inverse=True)
-    xw, inv = emb[tokens] @ w, inv.reshape(ids.shape)
-    xw += b  # in place: no second (T, 4h) array
+    n, hid = ids.shape[0], u.shape[0]
+    order, starts, tokens = _packed_cells(ids)
+    # The input projection of each distinct token, and each cell's row of
+    # it; on two rows at least, like h @ u.
+    distinct, inv = np.unique(tokens, return_inverse=True)
+    xw = emb[distinct.repeat(2) if distinct.size == 1 else distinct] @ w
+    xw += b  # in place: no second (tokens, 4h) array
     saved = meta.get("saved")
-    if saved is not None:  # recorded: step t starts from cells[t] and hiddens[t]
-        saved.update(gates=np.empty((steps, n, 4 * hid)),
-                     cells=np.zeros((steps + 1, n, hid)),
-                     hiddens=np.zeros((steps + 1, n, hid)))
-    out = np.zeros((n, hid))  # the state after zero steps
+    if saved is not None:  # packed: one row per real cell, like tokens
+        saved.update(gates=np.empty((tokens.size, 4 * hid)),
+                     cells=np.empty((tokens.size, hid)),
+                     hiddens=np.empty((tokens.size, hid)),
+                     order=order, starts=starts, tokens=tokens)
+    out = np.empty((n, hid))
+    starts = starts.tolist()
 
     def block(rows):
-        gates = None if saved is None else saved["gates"][:, rows]
-        h = out[rows]
-        for t, (c, h) in enumerate(_lstm_steps(xw, u, inv[rows], gates)):
-            if saved is not None:
-                saved["cells"][t + 1, rows], saved["hiddens"][t + 1, rows] = c, h
-        out[rows] = h
+        out[order[rows]] = _lstm_scan(xw, u, inv, starts, rows, saved)
 
     if (saved is None and n > LSTM_BLOCK and POOL_WORKERS > 1
             and not _in_pool_thread() and _openblas_threads() is not None):
@@ -443,37 +489,41 @@ def _fw_lstm(emb, w, u, b, meta):
 
 def _bw_lstm(node, g):
     emb, w, u, b = (t.data for t in node.inputs)
-    ids = node.meta["ids"]
-    n, steps = ids.shape
-    hid = u.shape[0]
     # What the forward kept leaves the node here, so it is freed with this call.
     saved = node.meta.pop("saved")
-    gates, cells, hiddens = saved["gates"], saved["cells"], saved["hiddens"]
-    # Backpropagation through time: dz[t] is the gradient of step t's four
-    # gate preactivations, side by side like the columns of w, u and b. It
-    # is written over gates[t], which nothing reads once dz[t] is formed.
+    gates, cells, hiddens, tokens = (saved[k] for k in
+                                     ("gates", "cells", "hiddens", "tokens"))
+    starts = saved["starts"].tolist()
+    # Backpropagation through time over the forward's prefixes of the sorted
+    # rows: a row's gradient g enters at its own last step. dz is the
+    # gradient of the gate preactivations, packed like the gates and side
+    # by side like the columns of w, u and b. Step t's is written over its
+    # gates, which nothing reads once it is formed.
     dz = gates
-    dh, dc = g, np.zeros((n, hid))
-    for t in reversed(range(steps)):
-        i, f, gg, o = np.split(gates[t], 4, axis=1)
-        tc = np.tanh(cells[t + 1])
-        dc = dc + dh * o * (1.0 - tc * tc)
+    dh = g[saved["order"]]
+    dc = np.zeros_like(dh)
+    for t in reversed(range(len(starts) - 1)):
+        cur = slice(starts[t], starts[t + 1])
+        a = cur.stop - cur.start
+        i, f, gg, o = np.split(gates[cur], 4, axis=1)
+        tc = np.tanh(cells[cur])
+        c_in = cells[starts[t - 1]:starts[t - 1] + a] if t else 0.0  # zero state at t = 0
+        dh_a = dh[:a]
+        dc_a = dc[:a] + dh_a * o * (1.0 - tc * tc)
         parts = (
-            dc * gg * i * (1.0 - i),
-            dc * cells[t] * f * (1.0 - f),
-            dc * i * (1.0 - gg * gg),
-            dh * tc * o * (1.0 - o),
+            dc_a * gg * i * (1.0 - i),
+            dc_a * c_in * f * (1.0 - f),
+            dc_a * i * (1.0 - gg * gg),
+            dh_a * tc * o * (1.0 - o),
         )
-        dc = dc * f  # f is a view of gates[t], so before dz[t] is written
-        np.concatenate(parts, axis=1, out=dz[t])
-        dh = dz[t] @ u.T
-    # Weight gradients sum over all steps at once, as one GEMM each.
-    dz = dz.reshape(steps * n, 4 * hid)
-    rows = ids.T.reshape(-1)  # time-major, like dz
+        dc[:a] = dc_a * f  # f is a view of the gates, so before dz is written
+        np.concatenate(parts, axis=1, out=dz[cur])
+        dh[:a] = dz[cur] @ u.T
+    # Weight gradients sum over every real cell at once, as one GEMM each.
     d_emb = np.zeros_like(emb)
-    np.add.at(d_emb, rows, dz @ w.T)
-    d_w = emb[rows].T @ dz
-    d_u = hiddens[:-1].reshape(steps * n, hid).T @ dz
+    np.add.at(d_emb, tokens, dz @ w.T)
+    d_w = emb[tokens].T @ dz
+    d_u = hiddens.T @ dz
     d_b = dz.sum(axis=0, keepdims=True)
     return (d_emb, d_w, d_u, d_b)
 

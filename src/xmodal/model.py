@@ -1,11 +1,14 @@
 """Two-branch encoders into the shared non-negative embedding space.
 
-Text: a single-layer LSTM with forget gate over the embedded tokens, run
-over all L positions (padding included, no masking), then elementwise
-absolute value of its last hidden state. The lookup and the recurrence are
-the one `autodiff.lstm` op, so the branch is two tape nodes at any batch
-size and length, and lstm.w, lstm.u and lstm.b are stored as the op takes
-them, the gates side by side in GATES order. The LSTM hidden size equals
+Text: a single-layer LSTM with forget gate over the embedded tokens, then
+elementwise absolute value of its last hidden state. Each caption runs over
+its own tokens only, up to and including its last non-zero id: trailing
+padding does not run, so it changes no bit of a caption's embedding and
+does not train the padding row of the embedding, while an interior 0 runs
+as a token. A caption with no non-zero id embeds as 0. The lookup and the
+recurrence are the one `autodiff.lstm` op, so the branch is two tape nodes
+at any batch size and length, and lstm.w, lstm.u and lstm.b are stored as
+the op takes them, the gates side by side in GATES order. The LSTM hidden size equals
 the joint dimension, so the text branch needs no projection.
 
 Image: two affine layers on a precomputed feature vector with a zero-floor
@@ -117,10 +120,10 @@ class ModelParams:
 def encode_text_batch(token_ids: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     """Encode (B, L) padded index rows to (B, j) non-negative embeddings.
 
-    All L positions run through the LSTM; only the final hidden state is
-    kept, projected by elementwise absolute value. One caption encoded alone
-    can differ in its last bits from the same caption inside a batch: numpy
-    runs a one-row h @ u as gemv rather than gemm, which rounds differently.
+    Each row runs through the LSTM up to its last non-zero id; its final
+    hidden state is kept, projected by elementwise absolute value. A
+    caption's embedding does not depend on its batch: encoded alone, it
+    equals its row of any batch bit for bit.
     """
     return ad.absolute(ad.lstm(p["embedding"], p["lstm.w"], p["lstm.u"], p["lstm.b"],
                                token_ids))

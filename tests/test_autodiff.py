@@ -111,34 +111,62 @@ class TestForwardValues:
         rng = np.random.default_rng(13)
         params = _lstm_params(rng, vocab=7, e=4, h=5)
         ids = rng.integers(0, 7, size=(3, 6))
-        sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         # the weights as drawn, and scaled so that preactivations reach about +-40
         for scale in (1.0, 10.0):
             emb, *wub = params[0], *(scale * a for a in params[1:])
-            # gate k is the column block k of w, u and b
-            w, u, b = (dict(zip("ifgo", np.split(a, 4, axis=1))) for a in wub)
-            h = c = np.zeros((3, 5))
-            largest = 0.0
-            for t in range(6):
-                x = emb[ids[:, t]]
-                z = {g: x @ w[g] + h @ u[g] + b[g] for g in "ifgo"}
-                largest = max(largest, *(np.abs(v).max() for v in z.values()))
-                c = sig(z["f"]) * c + sig(z["i"]) * np.tanh(z["g"])
-                h = sig(z["o"]) * np.tanh(c)
+            h, largest = _per_gate_loop(emb, *wub, ids)
             assert largest > 4 * scale
             got = ad.lstm(*(Tensor.const(a) for a in (emb, *wub)), ids)
             np.testing.assert_allclose(got.data, h, rtol=0, atol=1e-14)
 
+    def test_ragged_rows_run_their_own_tokens_only(self):
+        # each row equals the per-gate loop over its tokens up to its last
+        # non-zero id, and the same caption encoded alone, bit for bit
+        rng = np.random.default_rng(15)
+        params = _lstm_params(rng, vocab=7, e=4, h=5)
+        lengths = [8, 3, 1, 0, 5, 3, 1]
+        ids = rng.integers(1, 7, size=(len(lengths), 8))
+        for row, length in enumerate(lengths):
+            ids[row, length:] = 0
+        ids[1, 1] = 0     # an interior padding id still runs
+        ids[4, :5] = 2    # one token throughout
+        ids[6, 0] = 2     # another caption of the one token
+        for tape in (None, Tape()):
+            leaf = Tensor.const if tape is None else tape.leaf
+            leaves = [leaf(a) for a in params]
+            got = ad.lstm(*leaves, ids).data
+            for row, length in enumerate(lengths):
+                own = ids[row:row + 1, :length]
+                np.testing.assert_allclose(got[row:row + 1], _per_gate_loop(*params, own)[0],
+                                           rtol=0, atol=1e-14)
+                for alone in (own, ids[row:row + 1]):
+                    assert np.array_equal(ad.lstm(*leaves, alone).data, got[row:row + 1])
+            assert np.array_equal(got[3], np.zeros(5))  # no real token: the zero state
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (2, 5)])
+    def test_captions_without_a_real_token_give_the_zero_state(self, shape):
+        params = _lstm_params(np.random.default_rng(16), vocab=4, e=3, h=2)  # nonzero b
+        ids = np.zeros(shape, dtype=np.int64)
+        got = ad.lstm(*(Tensor.const(a) for a in params), ids).data
+        assert got.shape == (shape[0], 2) and not got.any()
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in params]
+        h = ad.lstm(*leaves, ids)
+        grads = ad.backward(tape, ad.reduce_sum(h))
+        assert not h.data.any() and not any(grads[leaf.node_id].any() for leaf in leaves)
+
     def test_lstm_gates_match_long_double(self):
         # one step from zero state: the gates are the activated rows of
-        # emb @ w + b, with w = I and b = 0 so the preactivations are exact
+        # emb @ w + b, with w = I and b = 0 so the preactivations are exact;
+        # row 0 of emb is the padding token, which no caption of one step reads
         hid, n = 16, 64
         x = np.linspace(-50.0, 50.0, n * 4 * hid).reshape(n, 4 * hid)
+        emb = np.concatenate([np.zeros((1, 4 * hid)), x])
         tape = Tape()
-        leaves = [tape.leaf(a) for a in (x, np.eye(4 * hid), np.zeros((hid, 4 * hid)),
+        leaves = [tape.leaf(a) for a in (emb, np.eye(4 * hid), np.zeros((hid, 4 * hid)),
                                          np.zeros((1, 4 * hid)))]
-        h = ad.lstm(*leaves, np.arange(n)[:, None])
-        gates = tape.nodes[h.node_id].meta["saved"]["gates"][0]
+        h = ad.lstm(*leaves, np.arange(1, n + 1)[:, None])
+        gates = tape.nodes[h.node_id].meta["saved"]["gates"]  # one real cell per caption
         z = x.astype(np.longdouble)
         want = 1 / (1 + np.exp(-z))
         want[:, 2 * hid:3 * hid] = np.tanh(z[:, 2 * hid:3 * hid])  # g
@@ -298,7 +326,7 @@ class TestLstmKeepsItsForward:
         def rerun(*args, **kwargs):
             raise AssertionError("the lstm VJP reran the scan")
 
-        _, got = self._grads(params, lambda node: monkeypatch.setattr(ad, "_lstm_steps", rerun))
+        _, got = self._grads(params, lambda node: monkeypatch.setattr(ad, "_lstm_scan", rerun))
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
@@ -310,8 +338,11 @@ class TestLstmKeepsItsForward:
             shapes.update({k: a.shape for k, a in node.meta["saved"].items()})
 
         node, _ = self._grads(params, record)
-        # L = 3 steps of B = 2 rows: gates (L, B, 4h), states from zero (L+1, B, h)
-        assert shapes == {"gates": (3, 2, 16), "cells": (4, 2, 4), "hiddens": (4, 2, 4)}
+        # captions of 3 and 3 tokens (an interior 0 runs) are 6 real cells,
+        # packed: gates (6, 4h), cells and input hiddens (6, h), and the plan,
+        # which is the row order, the 4 starts of the 3 steps and each cell's token
+        assert shapes == {"gates": (6, 16), "cells": (6, 4), "hiddens": (6, 4),
+                          "order": (2,), "starts": (4,), "tokens": (6,)}
         assert set(node.meta) == {"ids"}
 
     def test_backward_writes_dz_over_the_saved_gates(self):
@@ -476,13 +507,13 @@ class TestBlockedKernels:
                     *(grads[leaf.node_id] for leaf in leaves)]
 
         want = run()  # 11 captions are one block of the default size
-        scans, steps = [], ad._lstm_steps
+        scans, scan = [], ad._lstm_scan
 
-        def counted(xw, u, inv, gates=None):
-            scans.append(inv.shape[0])
-            return steps(xw, u, inv, gates)
+        def counted(xw, u, inv, starts, rows, saved=None):
+            scans.append(rows.stop - rows.start)
+            return scan(xw, u, inv, starts, rows, saved)
 
-        monkeypatch.setattr(ad, "_lstm_steps", counted)
+        monkeypatch.setattr(ad, "_lstm_scan", counted)
         monkeypatch.setattr(ad, "LSTM_BLOCK", block)
         got = run()
         assert scans == [r.stop - r.start for r in ad._blocks(11, block)]
@@ -561,6 +592,41 @@ class TestBlockedKernels:
         assert np.array_equal(got, want)
         assert len(submitted) > 1 and min(rows for rows, _ in submitted) >= 2
 
+    def test_work_runs_on_real_cells_only(self, monkeypatch):
+        # the saved gates have one row per real cell, and each step of a
+        # block runs h @ u on its a rows still in their caption, or on two
+        rng = np.random.default_rng(25)
+        params = _lstm_params(rng, vocab=9, e=5, h=3)
+        lengths = np.array([6, 0, 1, 3, 6, 2, 1, 5, 0, 4, 1])
+        ids = rng.integers(1, 9, size=(len(lengths), 6))
+        for row, length in enumerate(lengths):
+            ids[row, length:] = 0
+        gemm_rows = []
+
+        class CountedU(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    gemm_rows.append(inputs[0].shape[0])
+                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        scan = ad._lstm_scan
+        monkeypatch.setattr(ad, "_lstm_scan",
+                            lambda xw, u, *rest: scan(xw, u.view(CountedU), *rest))
+        monkeypatch.setattr(ad, "LSTM_BLOCK", 4)
+        monkeypatch.setattr(ad, "POOL_WORKERS", 1)  # the tape-free blocks in order too
+        want = []
+        by_length = np.sort(lengths)[::-1]
+        for rows in ad._blocks(len(lengths), 4):
+            block = by_length[rows]
+            want += [max(2, int((block > t).sum())) for t in range(block.max())]
+        tape = Tape()
+        h = ad.lstm(*(tape.leaf(a) for a in params), ids)
+        assert tape.nodes[h.node_id].meta["saved"]["gates"].shape == (lengths.sum(), 12)
+        assert gemm_rows == want
+        gemm_rows.clear()
+        ad.lstm(*(Tensor.const(a) for a in params), ids)
+        assert gemm_rows == want
+
     @pytest.mark.parametrize("fail", [False, True], ids=["scan", "block raises"])
     def test_openblas_thread_count_is_restored(self, monkeypatch, fail):
         if ad._openblas_threads() is None:
@@ -569,16 +635,16 @@ class TestBlockedKernels:
         params, ids, want = self._ragged_scan()
         monkeypatch.setattr(ad, "LSTM_BLOCK", 4)
         monkeypatch.setattr(ad, "POOL_WORKERS", 2)
-        seen, steps = [], ad._lstm_steps
+        seen, scan = [], ad._lstm_scan
 
-        def counted(xw, u, inv, gates=None):
-            if fail and inv.shape[0] == 2:  # the first block, of 2 rows, fails at once
+        def counted(xw, u, inv, starts, rows, saved=None):
+            if fail and rows.stop - rows.start == 2:  # the first block, of 2 rows, fails at once
                 raise RuntimeError("block failed")
             time.sleep(0.02)  # while the other blocks still run
             seen.append(get())
-            return steps(xw, u, inv, gates)
+            return scan(xw, u, inv, starts, rows, saved)
 
-        monkeypatch.setattr(ad, "_lstm_steps", counted)
+        monkeypatch.setattr(ad, "_lstm_scan", counted)
         before = get()
         put(2)  # a count other than the one the scan sets
         try:
@@ -601,6 +667,47 @@ def test_openblas_thread_control_is_found():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "openblas" in f"{blas.get('name')} {blas.get('openblas configuration')}".lower():
         assert ad._openblas_threads() is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(0, 6), min_size=1, max_size=14),
+       block=st.integers(1, 8), workers=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_pooled_scan_of_any_lengths_matches_one_taped_block(lengths, block, workers, seed):
+    rng = np.random.default_rng(seed)
+    params = _lstm_params(rng, vocab=9, e=5, h=3)
+    ids = rng.integers(0, 9, size=(len(lengths), 6))  # interior padding ids too
+    for row, length in enumerate(lengths):
+        ids[row, length:] = 0
+        if length:
+            ids[row, length - 1] = rng.integers(1, 9)  # the last real token
+    tape = Tape()
+    want = ad.lstm(*(tape.leaf(a) for a in params), ids).data
+    control = FakeBlasThreads(4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "LSTM_BLOCK", block)
+        mp.setattr(ad, "POOL_WORKERS", workers)
+        mp.setattr(ad, "_openblas_threads", lambda: (control.get, control.put))
+        got = ad.lstm(*(Tensor.const(a) for a in params), ids).data
+    assert np.array_equal(got, want)
+    assert control.counts == ([4, 1, 4] if len(lengths) > block and workers > 1 else [4])
+
+
+def _per_gate_loop(emb, w, u, b, ids):
+    """(h, largest): the last h of an LSTM over every position of each row
+    of `ids`, one gate at a time in plain numpy, and the largest |gate
+    preactivation| it met."""
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    # gate k is the column block k of w, u and b
+    w, u, b = (dict(zip("ifgo", np.split(a, 4, axis=1))) for a in (w, u, b))
+    h = c = np.zeros((len(ids), u["i"].shape[0]))
+    largest = 0.0
+    for t in range(ids.shape[1]):
+        x = emb[ids[:, t]]
+        z = {g: x @ w[g] + h @ u[g] + b[g] for g in "ifgo"}
+        largest = max(largest, *(np.abs(v).max() for v in z.values()))
+        c = sig(z["f"]) * c + sig(z["i"]) * np.tanh(z["g"])
+        h = sig(z["o"]) * np.tanh(c)
+    return h, largest
 
 
 def _lstm_params(rng, vocab, e, h):
@@ -640,8 +747,9 @@ def _op_point(kind, rng):
 
 def _op_builder(kind):
     meta = {}
-    if kind == "lstm":  # three steps, with rows repeated within and across steps
-        meta = {"ids": np.array([[1, 3, 1], [1, 0, 3]])}
+    if kind == "lstm":  # rows repeated within and across steps, and ragged lengths:
+        # three steps with an interior padding id, one step, and no step at all
+        meta = {"ids": np.array([[1, 3, 1], [1, 0, 3], [2, 0, 0], [0, 0, 0]])}
     if kind == "hinge":
         meta = {"alpha": HINGE_ALPHA}
 

@@ -6,7 +6,14 @@ f = 64). Images 0-149 train and 150-199 are held out; the vocabulary comes
 from the training captions alone. A model that learned nothing ranks at
 chance, and one that collapsed its embeddings ranks every query at chance
 or worse, so both fail the bar.
+
+Run as a script, it prints the held-out med r of each seed given, as JSON:
+
+    PYTHONPATH=src:. python tests/test_learning.py 1 2 3 4 5 6
 """
+
+import json
+import sys
 
 import numpy as np
 import pytest
@@ -45,3 +52,7 @@ def test_held_out_ranks_beat_chance(seed):
     med_r = held_out_med_r(seed)
     for direction, chance in CHANCE_MED_R.items():
         assert med_r[direction] <= BAR * chance, (direction, med_r)
+
+
+if __name__ == "__main__":
+    print(json.dumps({seed: held_out_med_r(int(seed)) for seed in sys.argv[1:]}, indent=1))

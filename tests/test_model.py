@@ -106,8 +106,7 @@ class TestEncodeText:
         np.testing.assert_array_equal(a, b)
 
     def test_padding_region_irrelevant_when_padding_row_and_biases_zero(self):
-        # with zero biases the padding steps only decay the state through
-        # fixed gates, identically for both sequences
+        # trailing padding does not run, so both sequences stop after [1, 2]
         rng = np.random.default_rng(3)
         dims = ModelDims(vocab_size=4, embed_dim=3, hidden_dim=4, feature_dim=2)
         params = ModelParams.init(dims, rng)
@@ -122,14 +121,35 @@ class TestEncodeText:
         h2 = model.encode_text_batch(np.array([[1, 2]]), p).data
         assert h2.shape == (1, 4)
 
-    def test_nonzero_bias_makes_padding_matter(self):
+    def test_trailing_padding_leaves_a_caption_unchanged(self):
+        # the scan stops at a caption's last real token, so no nonzero bias
+        # reaches it through trailing zeros; an interior zero still runs
         rng = np.random.default_rng(4)
         dims = ModelDims(vocab_size=4, embed_dim=3, hidden_dim=4, feature_dim=2)
         params = ModelParams.init(dims, rng)  # forget bias is 1
         p = params.as_tracked(None)
-        short = model.encode_text_batch(np.array([[1, 2]]), p).data
-        padded = model.encode_text_batch(np.array([[1, 2, 0, 0, 0]]), p).data
-        assert not np.allclose(short, padded)
+        encode = lambda ids: model.encode_text_batch(np.array(ids), p).data
+        short = encode([[1, 2]])
+        for padded in ([[1, 2, 0]], [[1, 2, 0, 0, 0]]):
+            assert np.array_equal(encode(padded), short)
+        assert not np.allclose(encode([[1, 0, 2]]), short)
+
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_caption_alone_equals_its_row_of_any_batch(self, tracked):
+        rng = np.random.default_rng(8)
+        params = ModelParams.init(TEST_DIMS, rng)
+        lengths = [7, 1, 0, 3, 7, 2, 5, 1, 4]
+        ids = rng.integers(1, 11, size=(len(lengths), 7))
+        for row, length in enumerate(lengths):
+            ids[row, length:] = 0
+        ids[4] = 3  # one token throughout: a projection of one distinct token
+        p = params.as_tracked(Tape() if tracked else None)
+        batch = model.encode_text_batch(ids, p).data
+        shuffled = rng.permutation(len(ids))
+        assert np.array_equal(model.encode_text_batch(ids[shuffled], p).data, batch[shuffled])
+        for row in range(len(ids)):
+            alone = model.encode_text_batch(ids[row:row + 1], p).data
+            assert np.array_equal(alone, batch[row:row + 1])
 
     @pytest.mark.parametrize("batch", [2, 16])
     @pytest.mark.parametrize("seq_len", [3, 40])
