@@ -4,7 +4,9 @@ Everything here is desk-scale by design: values are numpy arrays, ops are
 eager, and a Tape records one forward pass that backward() consumes once,
 emptying it.
 Tensors are treated as immutable; callers must not mutate arrays after
-handing them in.
+handing them in. A VJP may return None for an untracked input, which gets
+no gradient: matmul forms none for a constant operand, such as the image
+features, so its backward runs one GEMM instead of two.
 
 Primitive op kinds (add's second operand may be a (1, n) bias row):
 
@@ -21,7 +23,8 @@ step t are a prefix of that order: step t works on the first a_t rows of
 each block, and the T = sum of the lengths real (step, row) cells are
 packed time-major. The input projection E[t] @ W + b is formed once per
 distinct token t of those cells, as one GEMM and one in-place add of b;
-step t gathers its rows of it into a gate buffer, adds h @ U there and
+step t gathers its rows of it into a gate buffer, adds h @ U there from
+step 1 on (step 0 starts from the zero state, so it runs no h @ U) and
 activates the buffer with one tanh pass: g directly, and i, f and o as
 sigmoid(x) = (1 + tanh(x / 2)) / 2, halved before it and shifted after.
 Both GEMMs run on at least two rows, h @ U on max(a_t, 2) of them keeping
@@ -49,9 +52,12 @@ the step starts and each cell's token, in meta["saved"]; the VJP pops them
 off the node, so they are freed as it returns. It walks the same prefixes
 back, a caption's gradient entering at its own last step, and writes each
 step's gate gradients dz over that step's saved gates, so backward
-allocates no second (T, 4h) array. Each weight gradient is one GEMM, sum or
-np.add.at over the T packed rows. So E[0], the padding token, trains only
-from interior zeros, never from trailing padding.
+allocates no second (T, 4h) array. It forms no dh = dz @ U.T at step 0,
+whose gradient would flow into the zero state. Each weight gradient is one
+GEMM, sum or np.add.at over the T packed rows; dU keeps the step-0 rows,
+whose saved hiddens are zero, because dropping them would regroup
+OpenBLAS's sums over T and move bits. So E[0], the padding token, trains
+only from interior zeros, never from trailing padding.
 
 order_penalty(X, Y) is the (N, M) matrix ||max(0, Y[k] - X[i])||^2 of (N, j)
 and (M, j) rows as one node, built without an (N, M, j) intermediate;
@@ -238,8 +244,9 @@ def _fw_matmul(a, b, meta):
 
 
 def _bw_matmul(node, g):
-    a, b = node.inputs
-    return (g @ b.data.T, a.data.T @ g)
+    a, b = node.inputs  # a constant operand gets no gradient, and no GEMM
+    return (None if a.node_id is None else g @ b.data.T,
+            None if b.node_id is None else a.data.T @ g)
 
 
 def _fw_add(a, b, meta):
@@ -414,13 +421,13 @@ def _lstm_scan(xw, u, inv, starts, rows, saved=None):
 
     Step t runs on the a rows of the block that are still in their caption:
     it gathers their rows inv[cells] of the input projections `xw`, which
-    hold the bias, into a gate buffer, adds h @ u there and activates the
-    buffer in place with one tanh. h @ u runs on max(a, 2) rows, its h
-    buffer has at least two, and only the first a are kept: numpy runs a
-    one-row product as gemv, which rounds differently, so a row's bits do
-    not depend on its block. Recorded, the buffer is the block's slice of
-    saved["gates"], and each step also writes its cells and its input
-    hiddens into saved["cells"] and saved["hiddens"].
+    hold the bias, into a gate buffer, adds h @ u there from step 1 on and
+    activates the buffer in place with one tanh. h @ u runs on max(a, 2)
+    rows, its h buffer has at least two, and only the first a are kept:
+    numpy runs a one-row product as gemv, which rounds differently, so a
+    row's bits do not depend on its block. Recorded, the buffer is the
+    block's slice of saved["gates"], and each step also writes its cells and
+    its input hiddens into saved["cells"] and saved["hiddens"].
     """
     lo, m = rows.start, rows.stop - rows.start
     hid = u.shape[0]
@@ -436,7 +443,8 @@ def _lstm_scan(xw, u, inv, starts, rows, saved=None):
         xw.take(inv[cells], axis=0, out=z, mode="clip")
         if saved is not None:
             saved["hiddens"][cells] = h[:a]
-        z += (h[:max(a, 2)] @ u)[:a]
+        if t:  # h is the zero state at step 0
+            z += (h[:max(a, 2)] @ u)[:a]
         ifo = z[:, :2 * hid], z[:, 3 * hid:]  # i and f side by side, then o
         for s in ifo:
             s *= 0.5
@@ -518,7 +526,8 @@ def _bw_lstm(node, g):
         )
         dc[:a] = dc_a * f  # f is a view of the gates, so before dz is written
         np.concatenate(parts, axis=1, out=dz[cur])
-        dh[:a] = dz[cur] @ u.T
+        if t:  # at step 0 dh would flow into the zero state, which nothing reads
+            dh[:a] = dz[cur] @ u.T
     # Weight gradients sum over every real cell at once, as one GEMM each.
     d_emb = np.zeros_like(emb)
     np.add.at(d_emb, tokens, dz @ w.T)

@@ -14,6 +14,13 @@ steps would only apply optimizer-moment drift. Zero loss alone is not
 enough to stop: a pair violated across batches produces no loss until a
 later shuffle puts it into one batch.
 
+Adam (Kingma & Ba 2015, arXiv:1412.6980) runs in the paper's efficient
+order: the bias corrections fold into one step size and one eps_hat =
+eps * sqrt(1 - beta2^t) per call, so an entry's update takes one division
+and one square root. It works through each tensor in ADAM_BLOCK slices,
+the gradients' finiteness check too, so no pass builds a whole-tensor
+temporary.
+
 Everything is a deterministic function of (data, config, seed): epoch e
 shuffles with a generator seeded by SeedSequence([seed, 1, e]), batches
 are consumed in order, and gradient summation order is fixed. `train`
@@ -57,7 +64,7 @@ MAX_GROW_CYCLES = 3  # batch-growth actions after which a run stops
 BATCH_INIT_DEFAULT = 16
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the textbook defaults
 # Elements per block of adam_step: the block's slices of its four arrays and
-# two scratch arrays (128 KiB each) stay in cache through the dozen passes.
+# two scratch arrays (128 KiB each) stay in cache through the 12 passes.
 ADAM_BLOCK = 1 << 14
 
 
@@ -80,16 +87,30 @@ class AdamState:
 def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of `tensors`, `state.m` and `state.v`,
-    in place. Nothing is written unless lr and every gradient are finite."""
+    in place. Nothing is written unless lr and every gradient are finite.
+
+    The update takes Kingma & Ba's efficient order (arXiv:1412.6980, end of
+    section 2): with step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+    eps_hat = eps * sqrt(1 - beta2^t), formed once per call, each entry
+    moves by step * m / (sqrt(v) + eps_hat). In real arithmetic that is the
+    textbook lr * m_hat / (sqrt(v_hat) + eps); in float64 it takes one
+    division per entry instead of three and rounds differently, by about
+    an ulp of theta per step. m and v follow the textbook recurrence.
+    """
     if not 0 <= lr < np.inf:  # NaN fails both comparisons
         raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
+    ok = np.empty(ADAM_BLOCK, dtype=bool)  # one block's check, not a whole tensor's
     for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericsError(f"non-finite gradient for parameter {name!r}")
+        flat = g.ravel(order="K")  # a view in memory order, for C or F arrays
+        for lo in range(0, flat.size, ADAM_BLOCK):
+            gb = flat[lo:lo + ADAM_BLOCK]
+            if not np.isfinite(gb, out=ok[:gb.size]).all():
+                raise NumericsError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     t = state.t
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
+    root_bc2 = np.sqrt(1.0 - ADAM_BETA2 ** t)
+    step = lr * root_bc2 / (1.0 - ADAM_BETA1 ** t)
+    eps_hat = ADAM_EPS * root_bc2
     tmp, upd = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)  # scratch kept in cache
     for name, theta in tensors.items():
         g, m, v = grads[name], state.m[name], state.v[name]
@@ -99,7 +120,7 @@ def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         for lo in range(0, theta.size, ADAM_BLOCK):
             th, gb, mb, vb = (a[lo:lo + ADAM_BLOCK] for a in flat)
             tb, nb = tmp[:th.size], upd[:th.size]
-            # The textbook order of operations, so blocking keeps every bit.
+            # Elementwise only, so blocking keeps every bit.
             np.multiply(1.0 - ADAM_BETA1, gb, out=tb)
             mb *= ADAM_BETA1
             mb += tb
@@ -107,11 +128,10 @@ def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             tb *= gb
             vb *= ADAM_BETA2
             vb += tb
-            np.sqrt(np.divide(vb, bc2, out=tb), out=tb)
-            tb += ADAM_EPS
-            np.divide(mb, bc1, out=nb)
-            nb *= lr
-            nb /= tb  # lr * m_hat / (sqrt(v_hat) + eps)
+            np.sqrt(vb, out=tb)
+            tb += eps_hat
+            np.multiply(mb, step, out=nb)
+            nb /= tb  # step * m / (sqrt(v) + eps_hat)
             np.subtract(th, nb, out=th)
         for a, f in ((theta, flat[0]), (m, flat[2]), (v, flat[3])):
             if not np.may_share_memory(a, f):

@@ -592,33 +592,33 @@ class TestBlockedKernels:
         assert np.array_equal(got, want)
         assert len(submitted) > 1 and min(rows for rows, _ in submitted) >= 2
 
+    LENGTHS = np.array([6, 0, 1, 3, 6, 2, 1, 5, 0, 4, 1])
+
+    def _rows_of_lengths(self, rng):
+        ids = rng.integers(1, 9, size=(len(self.LENGTHS), 6))
+        for row, length in enumerate(self.LENGTHS):
+            ids[row, length:] = 0
+        return ids
+
     def test_work_runs_on_real_cells_only(self, monkeypatch):
         # the saved gates have one row per real cell, and each step of a
-        # block runs h @ u on its a rows still in their caption, or on two
+        # block after the first runs h @ u on its a rows still in their
+        # caption, or on two; step 0 runs none, as h is the zero state there
         rng = np.random.default_rng(25)
         params = _lstm_params(rng, vocab=9, e=5, h=3)
-        lengths = np.array([6, 0, 1, 3, 6, 2, 1, 5, 0, 4, 1])
-        ids = rng.integers(1, 9, size=(len(lengths), 6))
-        for row, length in enumerate(lengths):
-            ids[row, length:] = 0
+        lengths, ids = self.LENGTHS, self._rows_of_lengths(rng)
         gemm_rows = []
-
-        class CountedU(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul:
-                    gemm_rows.append(inputs[0].shape[0])
-                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-
+        counted = _gemm_counter(gemm_rows)
         scan = ad._lstm_scan
         monkeypatch.setattr(ad, "_lstm_scan",
-                            lambda xw, u, *rest: scan(xw, u.view(CountedU), *rest))
+                            lambda xw, u, *rest: scan(xw, u.view(counted), *rest))
         monkeypatch.setattr(ad, "LSTM_BLOCK", 4)
         monkeypatch.setattr(ad, "POOL_WORKERS", 1)  # the tape-free blocks in order too
         want = []
         by_length = np.sort(lengths)[::-1]
         for rows in ad._blocks(len(lengths), 4):
             block = by_length[rows]
-            want += [max(2, int((block > t).sum())) for t in range(block.max())]
+            want += [max(2, int((block > t).sum())) for t in range(1, block.max())]
         tape = Tape()
         h = ad.lstm(*(tape.leaf(a) for a in params), ids)
         assert tape.nodes[h.node_id].meta["saved"]["gates"].shape == (lengths.sum(), 12)
@@ -626,6 +626,27 @@ class TestBlockedKernels:
         gemm_rows.clear()
         ad.lstm(*(Tensor.const(a) for a in params), ids)
         assert gemm_rows == want
+
+    def test_backward_forms_no_dh_for_the_zero_state(self, monkeypatch):
+        # BPTT runs dh = dz @ u.T at steps t >= 1 on the a_t rows still in
+        # their caption, latest step first; at step 0 dh would flow into
+        # the zero state, which nothing reads
+        rng = np.random.default_rng(26)
+        params = _lstm_params(rng, vocab=9, e=5, h=3)
+        lengths, ids = self.LENGTHS, self._rows_of_lengths(rng)
+        gemm_rows = []
+        counted = _gemm_counter(gemm_rows)
+        arity, check, fw, bw = ad.OP_TABLE["lstm"]
+
+        def counted_bw(node, g):
+            node.inputs[2].data = node.inputs[2].data.view(counted)  # u
+            return bw(node, g)
+
+        monkeypatch.setitem(ad.OP_TABLE, "lstm", (arity, check, fw, counted_bw))
+        tape = Tape()
+        ad.backward(tape, rank_one_probe(ad.lstm(*(tape.leaf(a) for a in params), ids)))
+        assert gemm_rows == [int((lengths > t).sum())
+                             for t in reversed(range(1, lengths.max()))]
 
     @pytest.mark.parametrize("fail", [False, True], ids=["scan", "block raises"])
     def test_openblas_thread_count_is_restored(self, monkeypatch, fail):
@@ -710,6 +731,18 @@ def _per_gate_loop(emb, w, u, b, ids):
     return h, largest
 
 
+def _gemm_counter(rows):
+    """An ndarray subclass whose views append to `rows` the row count of
+    the first operand of every matmul they take part in."""
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                rows.append(inputs[0].shape[0])
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    return Counted
+
+
 def _lstm_params(rng, vocab, e, h):
     """An embedding and the fused weights w (e, 4h), u (h, 4h) and b (1, 4h)."""
     shapes = [(e, 4 * h), (h, 4 * h), (1, 4 * h)]
@@ -769,6 +802,37 @@ def test_primitive_gradients_match_finite_differences(kind):
     for _ in range(10):
         point = _op_point(kind, rng)
         assert finite_diff_check(builder, point, FD_STEP) < FD_TOL
+
+
+@pytest.mark.parametrize("const", [0, 1, None], ids=["left", "right", "neither"])
+def test_matmul_forms_no_gradient_for_a_constant_operand(const):
+    # the image branch's features: one GEMM for the tracked operand, none
+    # for the constant, whose VJP entry is None
+    rng = np.random.default_rng(44)
+    point = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]
+    tape = Tape()
+    operands = [Tensor.const(a) if k == const else tape.leaf(a) for k, a in enumerate(point)]
+    out = ad.matmul(*operands)
+    gemm_rows = []
+    for t in operands:  # every VJP GEMM has an operand's data in it
+        t.data = t.data.view(_gemm_counter(gemm_rows))
+    g = rng.normal(size=out.shape)
+    vjps = ad.OP_TABLE["matmul"][3](tape.nodes[out.node_id], g)
+    assert len(gemm_rows) == (2 if const is None else 1)
+    want = (g @ point[1].T, point[0].T @ g)
+    for k, got in enumerate(vjps):
+        if k == const:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want[k])
+    if const is None:
+        return
+
+    def build(leaf):  # the tracked operand's gradient through backward
+        pair = [Tensor.const(point[const]), leaf]
+        return rank_one_probe(ad.matmul(*(pair if const == 0 else pair[::-1])))
+
+    assert finite_diff_check(build, [point[1 - const]], FD_STEP) < FD_TOL
 
 
 def test_add_of_a_bias_row_matches_finite_differences():

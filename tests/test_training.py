@@ -1,6 +1,7 @@
 """Optimizer, schedule, and training-loop tests."""
 
 import json
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -61,12 +62,15 @@ class TestAdam:
         g1, g2 = rng.normal(size=shape), rng.normal(size=shape)
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
 
-        # independent whole-array recurrence, in the same order of operations
+        # independent whole-array recurrence, in the same order of operations:
+        # Kingma & Ba's efficient order, with the bias corrections in the
+        # step size and in eps_hat
         m = np.zeros(shape); v = np.zeros(shape); want = theta.copy()
         for t, g in ((1, g1), (2, g2)):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
-            want = want - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+            step = lr * np.sqrt(1 - b2 ** t) / (1 - b1 ** t)
+            want = want - step * m / (np.sqrt(v) + eps * np.sqrt(1 - b2 ** t))
 
         tensors = {"w": theta}
         state = AdamState.zeros_like(tensors)
@@ -81,20 +85,79 @@ class TestAdam:
         np.testing.assert_array_equal(state.m["w"], m)
         np.testing.assert_array_equal(state.v["w"], v)
 
-    def test_nan_gradient_aborts_naming_parameter(self):
-        tensors = {"lstm.u": np.ones(3), "lstm.w": np.zeros(2)}
+    def test_tracks_the_textbook_update_within_a_stated_bound(self):
+        # Textbook Adam: theta -= lr * m_hat / (sqrt(v_hat) + eps). The moments
+        # are the same recurrence, so they keep every bit. The efficient
+        # order is the same update in real arithmetic. Per step and entry, the
+        # two updates each round about a dozen times, so they differ by at
+        # most 16 eps |update|, and each side rounds theta - update once,
+        # half an ulp of theta. A run of n steps stays within
+        # n * (spacing(max |theta|) + 16 eps max |update|) of the textbook.
+        rng = np.random.default_rng(7)
+        shape, n, lr = (2 * ADAM_BLOCK + 5,), 50, 0.01
+        b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+        theta = rng.normal(size=shape)
+        m = np.zeros(shape); v = np.zeros(shape); want = theta.copy()
+        tensors = {"w": theta}
         state = AdamState.zeros_like(tensors)
-        adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.ones(2)}, state, 0.1)
-        theta = {n: a.copy() for n, a in tensors.items()}
-        m, v = ({n: a.copy() for n, a in d.items()} for d in (state.m, state.v))
-        with pytest.raises(NumericsError, match="'lstm.w'"):
-            adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.array([1.0, np.nan])},
-                      state, 0.1)
-        # the first tensor's update did not start either
-        assert state.t == 1
-        for arrays, before in ((tensors, theta), (state.m, m), (state.v, v)):
-            for name, a in before.items():
-                np.testing.assert_array_equal(arrays[name], a)
+        bound = 0.0
+        for t in range(1, n + 1):
+            # gradients from 1e-12 to 10 in size, so that sqrt(v_hat) runs
+            # from far below eps to far above it
+            g = rng.normal(size=shape) * 10.0 ** rng.uniform(-12, 1, size=shape)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            update = lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+            want = want - update
+            adam_step(tensors, {"w": g}, state, lr)
+            top = max(np.abs(want).max(), np.abs(theta).max())
+            bound += np.spacing(top) + 16 * np.finfo(float).eps * np.abs(update).max()
+        np.testing.assert_array_equal(state.m["w"], m)
+        np.testing.assert_array_equal(state.v["w"], v)
+        assert np.abs(theta - want).max() <= bound
+
+    def test_gradient_check_allocates_one_block(self):
+        # no whole-tensor boolean temporary: on a 2^20-entry gradient the
+        # check allocates one ADAM_BLOCK of booleans, and a step adds only
+        # the two float64 scratch blocks to it
+        size, slack = (1 << 20) + 7, 16 << 10
+        tensors = {"w": np.zeros(size)}
+        state = AdamState.zeros_like(tensors)
+        g = np.ones(size)
+        g[-1] = np.inf  # the check reads every block, then raises
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericsError):
+                adam_step(tensors, {"w": g}, state, 0.1)
+            check_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            g[-1] = 1.0
+            adam_step(tensors, {"w": g}, state, 0.1)
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check_peak <= ADAM_BLOCK + slack
+        assert step_peak <= ADAM_BLOCK + 2 * 8 * ADAM_BLOCK + slack
+
+    def test_nan_gradient_aborts_naming_parameter(self):
+        # the check walks each gradient in ADAM_BLOCK slices: a NaN in the
+        # last block of the second tensor, whole or partial, stops the step
+        # before anything is written
+        for size in (2, 2 * ADAM_BLOCK + 5):
+            tensors = {"lstm.u": np.ones(3), "lstm.w": np.zeros(size)}
+            state = AdamState.zeros_like(tensors)
+            adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.ones(size)}, state, 0.1)
+            theta = {n: a.copy() for n, a in tensors.items()}
+            m, v = ({n: a.copy() for n, a in d.items()} for d in (state.m, state.v))
+            bad = np.ones(size)
+            bad[-1] = np.nan
+            with pytest.raises(NumericsError, match="'lstm.w'"):
+                adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": bad}, state, 0.1)
+            # the first tensor's update did not start either
+            assert state.t == 1
+            for arrays, before in ((tensors, theta), (state.m, m), (state.v, v)):
+                for name, a in before.items():
+                    np.testing.assert_array_equal(arrays[name], a)
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-3])
     def test_non_finite_or_negative_lr_rejected(self, lr):
