@@ -74,12 +74,22 @@ follows the inputs: float64, the op's own, or float32, which only
 pairwise_order_penalty takes, through the same blocks and pool; a float32
 block keeps the float64 row count, so its X rows and slab together take
 what one float64 slab does. One kernel, _row_penalties, forms every
-penalty of either dtype: max(0, y - X) in a slab, each row of which
+penalty of either dtype: v = max(0, y - X) in a slab, each row of which
 np.vecdot(v, v) reduces. paired_order_penalty (row i of X against row i of
 Y) calls it on the rows side by side; a row's dot product does not depend
 on where the row sits, so it equals the matrix's (i, i) entry bit for bit.
 The backward loops over the rows of Y against the whole of X. All three
-form max(0, Y[k] - X) with _violations, in one slab reused for every k.
+form v with _violations, in one slab reused for every k, as max(y, X) - X:
+y copied into the slab, then np.maximum and np.subtract on operands of the
+slab's own shape. For finite entries this is max(0, y - X) bit for bit:
+where y > x both are the one rounded difference, and elsewhere
+max(y, x) - x is x - x = +0, as max(0, y - x) is. Only x = +inf against
+a smaller y differs: NaN there, not 0. So the entry points take finite
+rows, which every caller checks first (retrieval_ranks and a training
+step). The form is faster because numpy runs same-shape operands on its
+contiguous loops, where y - X with a broadcast row and a floor given as a
+Python scalar take slower ones; it needs no zero array and no constant
+per dtype.
 
 hinge(P, alpha) is the in-batch triplet hinge over a (B, B) penalty matrix
 P, as one node. With d = diag(P), entry (r, i) of its (B, B) output is
@@ -308,8 +318,20 @@ def penalty_round_rows(x) -> int:
 
 
 def _violations(y, x, slab):
-    """max(0, y - x) in `slab`, an array shaped like x; y is one row or as many as x."""
-    return np.maximum(np.subtract(y, x, out=slab), 0.0, out=slab)
+    """max(0, y - x) in `slab`, an array shaped like x; y is one row or as many as x.
+
+    Formed as max(y, x) - x: y copied into the slab, then two ufuncs whose
+    operands all have the slab's shape. On finite entries this is
+    max(0, y - x) bit for bit: where y > x both are the one rounded
+    difference y - x, and elsewhere max(y, x) - x is x - x = +0. Only
+    x = +inf against a smaller y differs, NaN where max(0, y - x) is 0, so
+    callers pass finite rows. numpy runs same-shape operands on its
+    contiguous loops, where a broadcast row or a Python scalar floor takes
+    slower ones.
+    """
+    np.copyto(slab, y)
+    np.maximum(slab, x, out=slab)
+    return np.subtract(slab, x, out=slab)
 
 
 def _row_penalties(y, x, slab):
@@ -336,7 +358,8 @@ def _fw_order_penalty(x, y, meta):
 
 def pairwise_order_penalty(x_rows, y_rows) -> np.ndarray:
     """Penalty matrix, entry (i, k) = ||max(0, y_rows[k] - x_rows[i])||^2:
-    the order_penalty op on untracked arrays.
+    the order_penalty op on untracked arrays, whose rows must be finite
+    (with +inf in x_rows an entry may be NaN; see _violations).
 
     Its dtype follows the inputs': float32 where they promote to float32,
     otherwise float64, the op's own matrix bit for bit.
@@ -350,7 +373,7 @@ def pairwise_order_penalty(x_rows, y_rows) -> np.ndarray:
 
 def paired_order_penalty(x_rows, y_rows) -> np.ndarray:
     """Entry i = ||max(0, y_rows[i] - x_rows[i])||^2, bit-equal to the entry
-    pairwise_order_penalty gives for the same two rows."""
+    pairwise_order_penalty gives for the same two rows, which must be finite."""
     x, y = np.asarray(x_rows, dtype=np.float64), np.asarray(y_rows, dtype=np.float64)
     _check_order_penalty("paired_order_penalty", (x, y), {})
     if x.shape[0] != y.shape[0]:

@@ -162,7 +162,8 @@ def screen_bound(j: int, norm_sum) -> tuple[float, np.ndarray]:
     the one it gives for the rows cast to float32, and P the exact real
     ||max(0, y - x)||^2. With u = 2^-24, u64 = 2^-53, gamma_n = n u / (1 - n u)
     in float32 and g64 the same in float64 (Higham 2002, section 3.1), and
-    v the float32 vector max(0, fl(fl(y) - fl(x))) whose squares P32 sums:
+    v the float32 vector max(0, fl(fl(y) - fl(x))) whose squares P32 sums
+    (the kernel forms it as max(y, x) - x, the same bits on finite rows):
 
     - Cast and subtraction: each entry of fl(y) - fl(x) carries at most one
       rounding of x, one of y and one of the difference, so v is within
@@ -300,8 +301,9 @@ def retrieval_ranks(v_txt: np.ndarray, v_img: np.ndarray,
     caption row -> owning image row. Returns (sentence_ranks per image,
     image_ranks per caption). Raises ValueError, before any penalty is
     formed, when an embedding is not finite (naming the side and its first
-    such row), when an owner is not an image index (naming the first such
-    caption row) or when an image owns no caption.
+    such row; the penalty kernel takes finite rows only), when an owner is
+    not an image index (naming the first such caption row) or when an image
+    owns no caption.
     """
     v_txt = np.asarray(v_txt, dtype=np.float64)
     v_img = np.asarray(v_img, dtype=np.float64)

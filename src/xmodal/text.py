@@ -122,6 +122,8 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
+    """Read save_vocab's TSV. A bad line, such as a frequency below 1, raises
+    VocabFormatError naming path:line."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         m = re.fullmatch(r"#vocab v1 d=(\d+)", header)
@@ -139,6 +141,8 @@ def load_vocab(path) -> Vocabulary:
                 idx, count = int(idx_s), int(freq_s)
             except ValueError:
                 raise VocabFormatError(f"{path}:{lineno}: bad integer") from None
+            if count < 1:  # build_vocab keeps only tokens seen min_freq >= 1 times
+                raise VocabFormatError(f"{path}:{lineno}: frequency {count} is below 1")
             if token in mapping:
                 raise VocabFormatError(f"{path}:{lineno}: duplicate token {token!r}")
             mapping[token] = idx

@@ -1,4 +1,5 @@
-"""Test oracles: scalar penalty, central finite differences, a rank-one
+"""Test oracles: scalar penalty, per-row loops of the penalty matrix, the
+paired penalties and their VJP, central finite differences, a rank-one
 probe and a weighted sum that make a scalar loss of any matrix, and all-zero
 model parameters.
 
@@ -23,6 +24,35 @@ def order_penalty(x, y) -> float:
     if x.shape != y.shape:
         raise ShapeError(f"order_penalty: shapes {x.shape} and {y.shape} differ")
     return float(np.sum(np.maximum(0.0, y - x) ** 2))
+
+
+def penalty_matrix_loop(x, y) -> np.ndarray:
+    """(N, M) penalties, column k the np.vecdot of each row of
+    v = max(y[k] - x, 0) with itself, in x's dtype."""
+    out = np.empty((x.shape[0], y.shape[0]), dtype=x.dtype)
+    for k in range(y.shape[0]):
+        v = np.maximum(y[k] - x, 0.0)
+        out[:, k] = np.vecdot(v, v)
+    return out
+
+
+def paired_penalty_loop(x, y) -> np.ndarray:
+    """Entry i the np.vecdot of v_i = max(y[i] - x[i], 0) with itself."""
+    v = np.maximum(y - x, 0.0)
+    return np.vecdot(v, v)
+
+
+def penalty_vjp_loop(x, y, g) -> tuple[np.ndarray, np.ndarray]:
+    """(gx, gy) of sum(g * P) for P = order_penalty(x, y), one row k of y
+    at a time: with v = max(y[k] - x, 0), gy[k] = 2 g[:, k] @ v, and x
+    loses 2 g[:, k] v."""
+    g2 = np.ascontiguousarray(2.0 * g.T)
+    gx, gy = np.zeros_like(x), np.empty_like(y)
+    for k in range(y.shape[0]):
+        v = np.maximum(y[k] - x, 0.0)
+        gy[k] = g2[k] @ v
+        gx -= v * g2[k, :, None]
+    return gx, gy
 
 
 def similarity(v_txt, v_img) -> float:

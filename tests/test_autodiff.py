@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import finite_diff_check, rank_one_probe
+from reference import (finite_diff_check, paired_penalty_loop, penalty_matrix_loop,
+                       penalty_vjp_loop, rank_one_probe)
 from xmodal import autodiff as ad
 from xmodal.autodiff import ShapeError, Tape, Tensor
 
@@ -389,6 +390,81 @@ class FakeBlasThreads:
 
     def put(self, count):
         self.counts.append(count)
+
+
+def _kernel_rows(rng, n, m, j):
+    """(x, y) rows, n >= m, with every case the penalty kernel must keep:
+    every other row rounded to one decimal, so many entries tie exactly; a
+    row of y equal to a row of x; zero rows on both sides; and a row of y
+    below every entry of x."""
+    x, y = np.abs(rng.normal(size=(n, j))), np.abs(rng.normal(size=(m, j)))
+    x[::2], y[::2] = np.round(x[::2], 1), np.round(y[::2], 1)
+    y[1] = x[n - m + 1]
+    x[-1] = y[-1] = 0.0
+    y[0] = -0.5
+    return x, y
+
+
+class TestPenaltyKernelBits:
+    """Every penalty and its VJP keep the bits of the loops over
+    v = max(y[k] - x, 0) in tests/reference.py, whatever form the kernel
+    computes v in."""
+
+    CASES = {"j1": (9, 6, 1, None), "one-block": (40, 12, 16, None),
+             "pooled": (50, 9, 24, 8)}  # (n, m, j, rows per block, if not the default)
+
+    @pytest.fixture(params=sorted(CASES))
+    def rows(self, request, monkeypatch):
+        n, m, j, block = self.CASES[request.param]
+        if block is not None:
+            monkeypatch.setattr(ad, "PENALTY_BLOCK_BYTES", block * j * 8)
+        return _kernel_rows(np.random.default_rng(n), n, m, j)
+
+    @staticmethod
+    def same_bits(got, want):
+        return got.dtype == want.dtype and got.shape == want.shape \
+            and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pairwise_matches_the_loop(self, rows, dtype):
+        x, y = (a.astype(dtype) for a in rows)
+        assert self.same_bits(ad.pairwise_order_penalty(x, y), penalty_matrix_loop(x, y))
+
+    def test_op_matches_the_loop(self, rows):
+        x, y = rows
+        want = penalty_matrix_loop(x, y)
+        assert self.same_bits(ad.order_penalty(Tensor.const(x), Tensor.const(y)).data, want)
+        tape = Tape()
+        assert self.same_bits(ad.order_penalty(tape.leaf(x), tape.leaf(y)).data, want)
+
+    def test_paired_matches_the_loop(self, rows):
+        x, y = rows
+        x = x[-len(y):]  # zero rows against each other, y[0] below x[0]
+        assert self.same_bits(ad.paired_order_penalty(x, y), paired_penalty_loop(x, y))
+
+    def test_vjp_matches_the_loop(self, rows):
+        x, y = rows
+        g = np.random.default_rng(5).normal(size=(len(x), len(y)))
+        node = ad.TapeNode("order_penalty", (Tensor(x), Tensor(y)),
+                           Tensor(np.zeros(g.shape)))
+        for got, want in zip(ad._bw_order_penalty(node, g), penalty_vjp_loop(x, y, g)):
+            assert self.same_bits(got, want)
+
+    def test_violations_keep_the_bits_of_every_finite_pair(self):
+        # signed zeros, a subnormal, exact and inexact differences, big and small
+        vals = np.array([-2.5, -0.0, 0.0, 5e-324, 1e-300, 0.1, 0.3, 1.0, 1e300])
+        x = np.repeat(vals, vals.size)[None, :]
+        y = np.tile(vals, vals.size)
+        want = np.maximum(y - x, 0.0)
+        assert self.same_bits(ad._violations(y, x, np.empty_like(x)), want)
+
+    def test_plus_inf_in_x_is_outside_the_finite_precondition(self):
+        # max(y, x) - x is inf - inf there: NaN, where max(0, y - x) is 0,
+        # so a non-finite caption row never reads as a perfect penalty
+        x, y = np.array([[np.inf, 0.0]]), np.array([[1.0, 2.0]])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(ad.pairwise_order_penalty(x, y)).all()
+            assert np.isnan(ad.paired_order_penalty(x, y)).all()
 
 
 class TestBlockedKernels:

@@ -1,5 +1,7 @@
 """Normalization, vocabulary, and fixed-length encoding tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,14 @@ class TestVocabFile:
         p = tmp_path / "bad.tsv"
         p.write_text("#vocab v1 d=1\ncat\t1\n")
         with pytest.raises(text.VocabFormatError, match=":2:"):
+            load_vocab(p)
+
+    @pytest.mark.parametrize("count", ["-7", "0"])
+    def test_frequency_below_one_rejected_with_its_line(self, tmp_path, count):
+        p = tmp_path / "freq.tsv"
+        p.write_text(f"#vocab v1 d=2\ncat\t1\t5\nfoo\t2\t{count}\n")
+        with pytest.raises(text.VocabFormatError,
+                           match=f"^{re.escape(str(p))}:3: frequency {count} is below 1$"):
             load_vocab(p)
 
     def test_gap_in_indices_rejected(self, tmp_path):

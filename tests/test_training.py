@@ -352,6 +352,26 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="image"):
             train(data, ModelParams(cfg.dims, tensors), cfg)
 
+    def test_infinite_text_embedding_stops_before_the_penalty(self, small_training_setup,
+                                                             monkeypatch):
+        # the order-penalty kernel takes finite rows only: +inf in a caption
+        # row against a finite image row gives NaN, not max(0, y - x) = 0
+        data, cfg = small_training_setup
+        encode = training.encode_text_batch
+
+        def infinite(token_ids, params):
+            v = encode(token_ids, params)
+            v.data[0, 0] = np.inf
+            return v
+
+        def no_penalty(*args):
+            raise AssertionError("a penalty was formed from a non-finite embedding")
+
+        monkeypatch.setattr(training, "encode_text_batch", infinite)
+        monkeypatch.setattr(training, "batch_loss", no_penalty)
+        with pytest.raises(NumericsError, match="^non-finite text embedding batch$"):
+            train(data, ModelParams.init(cfg.dims, np.random.default_rng(1)), cfg)
+
     def test_empty_val_records_rejected_before_a_step(self, small_training_setup,
                                                       monkeypatch):
         data, cfg = small_training_setup
