@@ -100,9 +100,10 @@ against itself, is 0. The VJP has a closed form: with A_txt = g [first
 argument > 0] and A_img = g [second argument > 0], both with a zero
 diagonal, dP = -(A_txt + A_img) off the diagonal, and dP[i, i] is the sum
 of row i of A_img plus column i of A_txt. Under reduce_sum, g is exactly 1,
-so dP holds small integers that any order of summation gives exactly: the
-op's bits equal those of the same hinge composed on the tape from matmul,
-add, relu_zero_floor and elementwise products.
+so dP holds small integers that any order of summation gives exactly. The
+tests pin the loss built on it against a brute-force enumeration of every
+triplet with scalar penalties (to 1e-12), its VJP against finite
+differences away from the kinks, and a zero gradient at the kink.
 
 Subgradient conventions: relu_zero_floor, abs, order_penalty (where
 Y[k, d] == X[i, d]) and hinge (an argument of 0) use 0 at the kink.
@@ -487,7 +488,7 @@ def _lstm_scan(xw, u, inv, starts, rows, saved=None):
 
 
 def _fw_lstm(emb, w, u, b, meta):
-    ids = meta["ids"]
+    ids = np.asarray(meta["ids"], dtype=np.int64)  # checked integer and in range
     n, hid = ids.shape[0], u.shape[0]
     order, starts, tokens = _packed_cells(ids)
     # The input projection of each distinct token, and each cell's row of
@@ -597,8 +598,9 @@ def _check_lstm(kind, inputs, meta):
         raise _shape_err(kind, inputs, "expected embedding (V,e), w (e,4h), u (h,4h) "
                                        "and b (1,4h) with gates i f g o side by side")
     ids = np.asarray(meta.get("ids"))
-    if ids.ndim != 2 or not np.issubdtype(ids.dtype, np.integer):
-        raise ShapeError(f"{kind}: token ids must be integer (B, L), got {ids.shape}")
+    if ids.ndim != 2 or not np.issubdtype(ids.dtype, np.integer):  # bool is not
+        raise ShapeError(f"{kind}: token ids must be integer (B, L), got "
+                         f"{ids.dtype} {ids.shape}")
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= emb.shape[0]:
         raise ShapeError(f"{kind}: token index out of range [0, {emb.shape[0]})")
 
@@ -668,7 +670,7 @@ def lstm(embedding: Tensor, w: Tensor, u: Tensor, b: Tensor, ids) -> Tensor:
 
     w (e, 4h), u (h, 4h) and b (1, 4h) hold the gates side by side in GATES order.
     """
-    return forward_op("lstm", (embedding, w, u, b), ids=np.asarray(ids, dtype=np.int64))
+    return forward_op("lstm", (embedding, w, u, b), ids=np.asarray(ids))
 
 
 def hinge(p: Tensor, alpha: float) -> Tensor:

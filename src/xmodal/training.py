@@ -17,13 +17,17 @@ later shuffle puts it into one batch.
 Adam (Kingma & Ba 2015, arXiv:1412.6980) runs in the paper's efficient
 order: the bias corrections fold into one step size and one eps_hat =
 eps * sqrt(1 - beta2^t) per call, so an entry's update takes one division
-and one square root. It works through each tensor in ADAM_BLOCK slices,
-the gradients' finiteness check too, so no pass builds a whole-tensor
-temporary.
+and one square root. It updates each tensor in ADAM_BLOCK slices, so no
+pass builds a whole-tensor temporary. Before it writes anything it checks
+each gradient with one reduction, its sum of squares, which is finite
+only when every entry is finite and the sum does not overflow.
 
-Everything is a deterministic function of (data, config, seed): epoch e
-shuffles with a generator seeded by SeedSequence([seed, 1, e]), batches
-are consumed in order, and gradient summation order is fixed. `train`
+At a fixed OpenBLAS thread count, everything is a deterministic function of
+(data, config, seed): epoch e shuffles with a generator seeded by
+SeedSequence([seed, 1, e]), batches are consumed in order, and gradient
+summation order is fixed. The thread count is an input too: at B=128, one
+thread gives other bits than two or four in the `lstm.w` and `lstm.u`
+gradients, whose GEMMs reduce over the batch's real cells. `train`
 works on its own copy of the parameters, which `adam_step` updates in
 place like the Adam moments, so the caller's parameters are left as they
 were.
@@ -87,7 +91,14 @@ class AdamState:
 def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of `tensors`, `state.m` and `state.v`,
-    in place. Nothing is written unless lr and every gradient are finite.
+    in place. Nothing is written unless every check passes first. lr must
+    be finite and >= 0, and `grads` must hold a gradient of each tensor's
+    name and shape and no other name (ValueError otherwise). Each
+    gradient's sum of squares, one np.vecdot, must be finite (NumericsError
+    otherwise, naming the parameter). That sum is non-finite when an entry
+    is, and also when the gradient's norm exceeds about 1.3e154, the square
+    root of the largest float64. So the check rejects a gradient before v,
+    a moving average of g^2, could overflow to +inf, where it would stay.
 
     The update takes Kingma & Ba's efficient order (arXiv:1412.6980, end of
     section 2): with step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
@@ -99,13 +110,18 @@ def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """
     if not 0 <= lr < np.inf:  # NaN fails both comparisons
         raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
-    ok = np.empty(ADAM_BLOCK, dtype=bool)  # one block's check, not a whole tensor's
-    for name, g in grads.items():
+    if names := sorted(grads.keys() ^ tensors.keys()):
+        raise ValueError(f"gradient and parameter names differ in {names}")
+    for name, theta in tensors.items():
+        g = grads[name]
+        if g.shape != theta.shape:
+            raise ValueError(f"gradient for parameter {name!r} has shape {g.shape}, "
+                             f"the parameter {theta.shape}")
         flat = g.ravel(order="K")  # a view in memory order, for C or F arrays
-        for lo in range(0, flat.size, ADAM_BLOCK):
-            gb = flat[lo:lo + ADAM_BLOCK]
-            if not np.isfinite(gb, out=ok[:gb.size]).all():
-                raise NumericsError(f"non-finite gradient for parameter {name!r}")
+        with np.errstate(over="ignore"):  # an overflow fails the check below
+            if not np.isfinite(np.vecdot(flat, flat)):
+                raise NumericsError(f"non-finite or overflowing gradient for "
+                                    f"parameter {name!r}")
     state.t += 1
     t = state.t
     root_bc2 = np.sqrt(1.0 - ADAM_BETA2 ** t)

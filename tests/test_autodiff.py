@@ -108,6 +108,26 @@ class TestForwardValues:
             with pytest.raises(ShapeError, match=r"lstm.*out of range \[0, 3\)"):
                 ad.lstm(*params, ids)
 
+    @pytest.mark.parametrize("ids", [
+        [[1.7, 2.2]],                        # would truncate to [[1, 2]]
+        np.array([[1.0, 2.0]]),              # whole, but not integer
+        np.array([[True, False]]),           # would read as [[1, 0]]
+    ], ids=["float-list", "float-array", "bool"])
+    def test_lstm_rejects_ids_that_are_not_integers(self, ids):
+        params = [Tensor.const(a) for a in _lstm_params(
+            np.random.default_rng(0), vocab=3, e=2, h=4)]
+        with pytest.raises(ShapeError, match=r"lstm: token ids must be integer"):
+            ad.lstm(*params, ids)
+
+    def test_lstm_ids_of_any_integer_dtype_give_the_same_bits(self):
+        rng = np.random.default_rng(3)
+        params = _lstm_params(rng, vocab=7, e=4, h=5)
+        ids = rng.integers(0, 7, size=(5, 6))
+        want = ad.lstm(*(Tensor.const(a) for a in params), ids.astype(np.int64)).data
+        for dtype in (np.int32, np.uint8):
+            got = ad.lstm(*(Tensor.const(a) for a in params), ids.astype(dtype)).data
+            assert got.tobytes() == want.tobytes()
+
     def test_lstm_matches_per_gate_numpy_loop(self):
         rng = np.random.default_rng(13)
         params = _lstm_params(rng, vocab=7, e=4, h=5)

@@ -117,14 +117,14 @@ class TestAdam:
         assert np.abs(theta - want).max() <= bound
 
     def test_gradient_check_allocates_one_block(self):
-        # no whole-tensor boolean temporary: on a 2^20-entry gradient the
-        # check allocates one ADAM_BLOCK of booleans, and a step adds only
-        # the two float64 scratch blocks to it
+        # the check reduces each gradient to one sum of squares, so on a
+        # 2^20-entry gradient it allocates nothing of the gradient's size,
+        # and a step adds only the two float64 scratch blocks of the update
         size, slack = (1 << 20) + 7, 16 << 10
         tensors = {"w": np.zeros(size)}
         state = AdamState.zeros_like(tensors)
         g = np.ones(size)
-        g[-1] = np.inf  # the check reads every block, then raises
+        g[-1] = np.inf  # the check reads the whole gradient, then raises
         tracemalloc.start()
         try:
             with pytest.raises(NumericsError):
@@ -136,28 +136,76 @@ class TestAdam:
             step_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert check_peak <= ADAM_BLOCK + slack
-        assert step_peak <= ADAM_BLOCK + 2 * 8 * ADAM_BLOCK + slack
+        assert check_peak <= slack
+        assert step_peak <= 2 * 8 * ADAM_BLOCK + slack
+
+    @staticmethod
+    def _two_tensors_after_one_step(shape):
+        """Tensors 'lstm.u' and 'lstm.w', the Adam state after one step, and
+        a copy of theta, m and v to compare with after a rejected step."""
+        tensors = {"lstm.u": np.ones(3), "lstm.w": np.zeros(shape)}
+        state = AdamState.zeros_like(tensors)
+        adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.ones(shape)}, state, 0.1)
+        before = [{n: a.copy() for n, a in d.items()} for d in (tensors, state.m, state.v)]
+        return tensors, state, before
+
+    @staticmethod
+    def _assert_untouched(tensors, state, before):
+        assert state.t == 1
+        for arrays, was in zip((tensors, state.m, state.v), before):
+            assert arrays.keys() == was.keys()
+            for name, a in was.items():
+                np.testing.assert_array_equal(arrays[name], a)
 
     def test_nan_gradient_aborts_naming_parameter(self):
-        # the check walks each gradient in ADAM_BLOCK slices: a NaN in the
-        # last block of the second tensor, whole or partial, stops the step
+        # the check reads every entry: a NaN in the last entry of the second
+        # tensor, of 2 entries or of several update blocks, stops the step
         # before anything is written
         for size in (2, 2 * ADAM_BLOCK + 5):
-            tensors = {"lstm.u": np.ones(3), "lstm.w": np.zeros(size)}
-            state = AdamState.zeros_like(tensors)
-            adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.ones(size)}, state, 0.1)
-            theta = {n: a.copy() for n, a in tensors.items()}
-            m, v = ({n: a.copy() for n, a in d.items()} for d in (state.m, state.v))
+            tensors, state, before = self._two_tensors_after_one_step(size)
             bad = np.ones(size)
             bad[-1] = np.nan
             with pytest.raises(NumericsError, match="'lstm.w'"):
                 adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": bad}, state, 0.1)
             # the first tensor's update did not start either
-            assert state.t == 1
-            for arrays, before in ((tensors, theta), (state.m, m), (state.v, v)):
-                for name, a in before.items():
-                    np.testing.assert_array_equal(arrays[name], a)
+            self._assert_untouched(tensors, state, before)
+
+    @pytest.mark.parametrize("big", [1e200, -1e200, 1e154 * np.ones(2)])
+    def test_overflowing_gradient_aborts_naming_parameter(self, big):
+        # finite entries whose sum of squares overflows. At 1e200, v would
+        # take (1 - beta2) * 1e400 = +inf and stay there. Two entries of
+        # 1e154 have finite squares but a norm of 1.41e154: the check
+        # rejects them before v could overflow.
+        tensors, state, before = self._two_tensors_after_one_step(2)
+        bad = np.zeros(2)
+        bad[-np.size(big):] = big
+        assert np.isfinite(bad).all()
+        with pytest.raises(NumericsError, match="'lstm.w'"):
+            adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": bad}, state, 0.1)
+        self._assert_untouched(tensors, state, before)
+
+    def test_largest_accepted_gradient_keeps_v_finite(self):
+        # a norm of 1.3e154 still passes, and v stays finite
+        tensors, state, _ = self._two_tensors_after_one_step(2)
+        adam_step(tensors, {"lstm.u": np.ones(3), "lstm.w": np.array([0.0, 1.3e154])},
+                  state, 0.1)
+        assert state.t == 2 and np.isfinite(state.v["lstm.w"]).all()
+
+    @pytest.mark.parametrize("grads, match", [
+        ({"lstm.u": np.ones(3)}, r"names differ in \['lstm.w'\]"),
+        ({"lstm.u": np.ones(3), "lstm.w": np.ones((2, 3)), "lstm.b": np.ones(2)},
+         r"names differ in \['lstm.b'\]"),
+        # as many entries as the parameter, but not its layout: applied, it
+        # would move the wrong entries
+        ({"lstm.u": np.ones(3), "lstm.w": np.ones((3, 2))},
+         r"'lstm.w' has shape \(3, 2\), the parameter \(2, 3\)"),
+    ], ids=["missing", "extra", "other-shape"])
+    def test_gradients_must_match_the_parameters(self, grads, match):
+        # checked before any write: the first tensor's update does not start
+        tensors, state, before = self._two_tensors_after_one_step((2, 3))
+        with pytest.raises(ValueError, match=match):
+            adam_step(tensors, grads, state, 0.1)
+        self._assert_untouched(tensors, state, before)
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-3])
     def test_non_finite_or_negative_lr_rejected(self, lr):
